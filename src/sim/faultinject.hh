@@ -40,7 +40,7 @@ namespace rvp
 {
 
 // Test-only corruption seams defined in stream/stream.cc (friends of
-// CapturedStream). lane: 0=index 1=value 2=address 3=taken.
+// CapturedStream). lane: 0=value 1=address 2=taken.
 void corruptStreamForTest(const CapturedStream &stream, unsigned lane,
                           std::size_t offset, std::uint8_t xorMask);
 void truncateStreamForTest(const CapturedStream &stream, unsigned lane,
@@ -79,8 +79,8 @@ struct FaultPlan
     bool persistent = false;
     /** SleepPastDeadline sleep length, seconds. */
     double sleepSeconds = 0.05;
-    /** Corruption target: lane (0..3), byte offset, XOR mask. */
-    unsigned corruptLane = 1;
+    /** Corruption target: lane (0..2), byte offset, XOR mask. */
+    unsigned corruptLane = 0;
     std::size_t corruptOffset = 0;
     std::uint8_t corruptXor = 0x40;
     /** BadAlloc: capture throws once this many insts are encoded. */

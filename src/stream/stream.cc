@@ -74,6 +74,22 @@ std::atomic<CapturedStream::CaptureHook> CapturedStream::captureHook{
 
 InstSource::~InstSource() = default;
 
+inline std::uint64_t
+CapturedStream::successorPc(const StaticDecode &d, std::uint32_t idx,
+                            bool taken, const ArchState &pre)
+{
+    if (d.flags & kIndirect)
+        return pre.read(d.targetReg);
+    // Only conditional branches and BR report taken (capture checks).
+    return Program::pcOf(taken ? d.takenIdx : idx + 1);
+}
+
+std::array<const std::vector<std::uint8_t> *, CapturedStream::kLanes>
+CapturedStream::lanes() const
+{
+    return {&valueLane_, &addrLane_, &takenLane_};
+}
+
 // ---------------------------------------------------------------------
 // Capture
 // ---------------------------------------------------------------------
@@ -112,6 +128,14 @@ CapturedStream::capture(const Program &prog, std::uint64_t maxInsts,
             d.flags |= kCond;
         if (info.isUncondBranch)
             d.flags |= kAlwaysTaken;
+        if (si.op == Opcode::JSR || si.op == Opcode::RET) {
+            d.flags |= kIndirect;
+            d.targetReg = si.ra;
+        } else if (info.isCondBranch || si.op == Opcode::BR) {
+            std::int64_t idx = static_cast<std::int64_t>(
+                stream->decode_.size());
+            d.takenIdx = static_cast<std::uint32_t>(idx + 1 + si.imm);
+        }
         stream->decode_.push_back(d);
     }
 
@@ -123,7 +147,6 @@ CapturedStream::capture(const Program &prog, std::uint64_t maxInsts,
     // so replay correctness is established at capture time.
     ArchState mirror = emu.state();
     DynInst di;
-    std::int64_t prev_idx = 0;
     std::uint64_t prev_addr = 0;
     std::uint64_t expected_pc = Program::textBase;
 
@@ -140,10 +163,9 @@ CapturedStream::capture(const Program &prog, std::uint64_t maxInsts,
         RVP_ASSERT(di.pc == Program::pcOf(idx) && di.pc == expected_pc);
         RVP_ASSERT(di.op == d.op && di.srcA == d.srcA &&
                    di.srcB == d.srcB && di.dest == d.dest);
-
-        putDelta(stream->idxLane_, static_cast<std::int64_t>(idx) -
-                                       prev_idx);
-        prev_idx = static_cast<std::int64_t>(idx);
+        // The successor is never stored: check the derivation against
+        // the pre-state, before this instruction's write lands.
+        RVP_ASSERT(successorPc(d, idx, di.isTaken, mirror) == di.nextPc);
 
         if (d.flags & kWrites) {
             std::uint64_t old = mirror.read(d.rawRc);
@@ -173,7 +195,6 @@ CapturedStream::capture(const Program &prog, std::uint64_t maxInsts,
         }
 
         expected_pc = di.nextPc;
-        stream->finalNextPc_ = di.nextPc;
         ++stream->count_;
 
         if (maxBytes && stream->encodedBytes() > maxBytes)
@@ -190,11 +211,10 @@ CapturedStream::seal()
     header_.magic = Header::kMagic;
     header_.version = Header::kVersion;
     header_.instCount = count_;
-    const std::vector<std::uint8_t> *lanes[4] = {&idxLane_, &valueLane_,
-                                                 &addrLane_, &takenLane_};
-    for (unsigned i = 0; i < 4; ++i) {
-        header_.laneBytes[i] = lanes[i]->size();
-        header_.laneFnv[i] = fnv1aLane(*lanes[i]);
+    for (unsigned i = 0; i < kLanes; ++i) {
+        const std::vector<std::uint8_t> &lane = *lanes()[i];
+        header_.laneBytes[i] = lane.size();
+        header_.laneFnv[i] = fnv1aLane(lane);
     }
 }
 
@@ -212,17 +232,15 @@ CapturedStream::verifyIntegrity() const
             "instruction count mismatch (header " +
             std::to_string(header_.instCount) + ", stream " +
             std::to_string(count_) + ")");
-    static const char *laneNames[4] = {"index", "value", "address",
-                                       "taken"};
-    const std::vector<std::uint8_t> *lanes[4] = {&idxLane_, &valueLane_,
-                                                 &addrLane_, &takenLane_};
-    for (unsigned i = 0; i < 4; ++i) {
-        if (header_.laneBytes[i] != lanes[i]->size())
+    static const char *laneNames[kLanes] = {"value", "address", "taken"};
+    for (unsigned i = 0; i < kLanes; ++i) {
+        const std::vector<std::uint8_t> &lane = *lanes()[i];
+        if (header_.laneBytes[i] != lane.size())
             throw StreamIntegrityError(
                 std::string(laneNames[i]) + " lane truncated (" +
-                std::to_string(lanes[i]->size()) + " bytes, header " +
+                std::to_string(lane.size()) + " bytes, header " +
                 std::to_string(header_.laneBytes[i]) + ")");
-        if (header_.laneFnv[i] != fnv1aLane(*lanes[i]))
+        if (header_.laneFnv[i] != fnv1aLane(lane))
             throw StreamIntegrityError(std::string(laneNames[i]) +
                                        " lane checksum mismatch");
     }
@@ -231,8 +249,7 @@ CapturedStream::verifyIntegrity() const
 std::size_t
 CapturedStream::encodedBytes() const
 {
-    return idxLane_.size() + valueLane_.size() + addrLane_.size() +
-           takenLane_.size() +
+    return valueLane_.size() + addrLane_.size() + takenLane_.size() +
            decode_.size() * sizeof(StaticDecode) + sizeof(*this);
 }
 
@@ -244,22 +261,22 @@ void
 corruptStreamForTest(const CapturedStream &stream, unsigned lane,
                      std::size_t offset, std::uint8_t xorMask)
 {
-    auto &mut = const_cast<CapturedStream &>(stream);
-    std::vector<std::uint8_t> *lanes[4] = {
-        &mut.idxLane_, &mut.valueLane_, &mut.addrLane_, &mut.takenLane_};
-    RVP_ASSERT(lane < 4 && offset < lanes[lane]->size());
-    (*lanes[lane])[offset] ^= xorMask;
+    RVP_ASSERT(lane < CapturedStream::kLanes);
+    auto &mut = const_cast<std::vector<std::uint8_t> &>(
+        *stream.lanes()[lane]);
+    RVP_ASSERT(offset < mut.size());
+    mut[offset] ^= xorMask;
 }
 
 void
 truncateStreamForTest(const CapturedStream &stream, unsigned lane,
                       std::size_t dropBytes)
 {
-    auto &mut = const_cast<CapturedStream &>(stream);
-    std::vector<std::uint8_t> *lanes[4] = {
-        &mut.idxLane_, &mut.valueLane_, &mut.addrLane_, &mut.takenLane_};
-    RVP_ASSERT(lane < 4 && dropBytes <= lanes[lane]->size());
-    lanes[lane]->resize(lanes[lane]->size() - dropBytes);
+    RVP_ASSERT(lane < CapturedStream::kLanes);
+    auto &mut = const_cast<std::vector<std::uint8_t> &>(
+        *stream.lanes()[lane]);
+    RVP_ASSERT(dropBytes <= mut.size());
+    mut.resize(mut.size() - dropBytes);
 }
 
 // ---------------------------------------------------------------------
@@ -273,13 +290,10 @@ StreamCursor::StreamCursor(std::shared_ptr<const CapturedStream> stream)
     // must throw StreamIntegrityError here, not replay garbage (or
     // read out of bounds) later.
     stream_->verifyIntegrity();
-    idxPos_ = stream_->idxLane_.data();
     valPos_ = stream_->valueLane_.data();
     addrPos_ = stream_->addrLane_.data();
     takenPos_ = stream_->takenLane_.data();
     state_ = stream_->initialState_;
-    if (stream_->count_ > 0)
-        nextIdx_ = static_cast<std::uint32_t>(getDelta(idxPos_));
 }
 
 bool
@@ -337,14 +351,11 @@ StreamCursor::step(DynInst &out)
         out.isTaken = (d.flags & CapturedStream::kAlwaysTaken) != 0;
     }
 
+    // state_ is still this instruction's pre-state (its write is
+    // pending), which is what a JSR/RET target is read from.
+    out.nextPc = CapturedStream::successorPc(d, idx, out.isTaken, state_);
+    nextIdx_ = static_cast<std::uint32_t>(Program::indexOf(out.nextPc));
     ++pos_;
-    if (pos_ < s.count_) {
-        nextIdx_ = static_cast<std::uint32_t>(
-            static_cast<std::int64_t>(idx) + getDelta(idxPos_));
-        out.nextPc = Program::pcOf(nextIdx_);
-    } else {
-        out.nextPc = s.finalNextPc_;
-    }
     return true;
 }
 

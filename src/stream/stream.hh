@@ -11,32 +11,38 @@
  * it, so a live Emulator and a replay cursor are interchangeable and
  * bit-identical in every emitted stat.
  *
- * Encoding (CapturedStream): a per-static decode table carries
- * everything derivable from the static instruction (opcode, normalized
- * sources, destination, flags); per-instruction lanes carry only the
- * dynamic residue, as varint/zigzag deltas in structure-of-arrays
- * form:
+ * Encoding (CapturedStream, format version 2): a per-static decode
+ * table carries everything derivable from the static instruction
+ * (opcode, normalized sources, destination, flags, branch target);
+ * three per-instruction lanes carry only the dynamic residue, as
+ * varint/zigzag deltas in structure-of-arrays form:
  *
- *   - static-index lane: delta vs the previous instruction's index
- *     (sequential code encodes as +1 -> one byte)
  *   - value lane: result minus the destination's prior value, for
  *     writesRc instructions only (loads, ALU ops, JSR)
  *   - address lane: effective-address delta vs the previous memory
  *     operation, for loads/stores only
  *   - taken lane: one bit per conditional branch
  *
- * Everything else is reconstructed: pc = Program::pcOf(index), nextPc
- * is the following instruction's pc (the final one is stored), store
+ * Everything else is reconstructed: pc = Program::pcOf(index), store
  * data and oldDestValue are read from the replayed architectural
  * state, which the cursor maintains by applying each instruction's
- * single register write. Capture verifies all of these derivations
- * against the live emulator instruction by instruction, so a stream
- * that builds at all replays exactly.
+ * single register write, and the successor (nextPc, and with it the
+ * next static index) is derived rather than stored: a non-control
+ * instruction falls through to index + 1, a conditional branch
+ * follows its taken bit to its static target or index + 1, BR goes
+ * to its static target, and JSR/RET jump to the pre-state value of
+ * their target register. Version 1 also stored a static-index lane
+ * (a flat 1.00 B/inst on every workload); dropping it took the
+ * 308-run default grid's captures from 4.44 to 3.44 B/inst. Capture
+ * verifies all of these derivations against the live emulator
+ * instruction by instruction, so a stream that builds at all replays
+ * exactly.
  */
 
 #ifndef RVP_STREAM_STREAM_HH
 #define RVP_STREAM_STREAM_HH
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -183,21 +189,27 @@ class CapturedStream
 
     CapturedStream() = default;
 
+    /** Dynamic lanes: 0 = value, 1 = address, 2 = taken. */
+    static constexpr unsigned kLanes = 3;
+
     /** Sealed at the end of capture(); verifyIntegrity() revalidates. */
     struct Header
     {
         static constexpr std::uint32_t kMagic = 0x52565053; // "RVPS"
-        static constexpr std::uint32_t kVersion = 1;
+        static constexpr std::uint32_t kVersion = 2;
 
         std::uint32_t magic = 0;
         std::uint32_t version = 0;
         std::uint64_t instCount = 0;
-        std::uint64_t laneBytes[4] = {};  ///< idx/value/addr/taken
-        std::uint64_t laneFnv[4] = {};
+        std::uint64_t laneBytes[kLanes] = {};  ///< value/addr/taken
+        std::uint64_t laneFnv[kLanes] = {};
     };
 
     /** Compute the header over the current lanes (capture-time seal). */
     void seal();
+
+    /** The dynamic lanes, indexed as in the header. */
+    std::array<const std::vector<std::uint8_t> *, kLanes> lanes() const;
 
     /** Per-static-instruction fields shared by all its instances. */
     struct StaticDecode
@@ -210,7 +222,11 @@ class CapturedStream
          *  (ArchState read/write discard the zero regs). */
         RegIndex rawRc = regNone;
         RegIndex storeReg = regNone; ///< store data register (rb)
+        /** JSR/RET: the register holding the jump target (ra). */
+        RegIndex targetReg = regNone;
         std::uint8_t flags = 0;
+        /** Conditional branch / BR: static index of the taken target. */
+        std::uint32_t takenIdx = 0;
     };
 
     static constexpr std::uint8_t kWrites = 1;      ///< writesRc
@@ -218,19 +234,27 @@ class CapturedStream
     static constexpr std::uint8_t kStore = 4;
     static constexpr std::uint8_t kCond = 8;        ///< conditional br
     static constexpr std::uint8_t kAlwaysTaken = 16;///< BR / JSR / RET
+    static constexpr std::uint8_t kIndirect = 32;   ///< JSR / RET
+
+    /**
+     * The pc the instruction at static index idx hands control to,
+     * given its taken bit and the architectural state it executed in.
+     */
+    static std::uint64_t successorPc(const StaticDecode &d,
+                                     std::uint32_t idx, bool taken,
+                                     const ArchState &pre);
 
     std::vector<StaticDecode> decode_;
     ArchState initialState_;
 
-    // Dynamic lanes (see file comment for the per-lane encodings).
-    std::vector<std::uint8_t> idxLane_;
+    // Dynamic lanes (see file comment for the per-lane encodings),
+    // in header order.
     std::vector<std::uint8_t> valueLane_;
     std::vector<std::uint8_t> addrLane_;
     std::vector<std::uint8_t> takenLane_;
     std::uint64_t takenBits_ = 0;
 
     std::uint64_t count_ = 0;
-    std::uint64_t finalNextPc_ = 0;
     bool complete_ = false;
     Header header_;
 };
@@ -254,14 +278,15 @@ class StreamCursor final : public InstSource
     std::shared_ptr<const CapturedStream> stream_;
 
     // Lane read positions.
-    const std::uint8_t *idxPos_;
     const std::uint8_t *valPos_;
     const std::uint8_t *addrPos_;
     const std::uint8_t *takenPos_;
     unsigned takenBit_ = 0;
 
     std::uint64_t pos_ = 0;        ///< instructions consumed
-    std::uint32_t nextIdx_ = 0;    ///< static index of instruction pos_
+    /** Static index of instruction pos_: the last one's successor,
+     *  and 0 (Program::textBase, where execution starts) before it. */
+    std::uint32_t nextIdx_ = 0;
     std::uint64_t prevAddr_ = 0;   ///< last memory effective address
 
     ArchState state_;

@@ -61,9 +61,6 @@ Core::Core(const CoreParams &params, const Program &prog,
         histRecoveryPenalty_ =
             &stats_.distribution("core.recovery_penalty");
     }
-    // Tag 0 is the always-ready sentinel (committed/initial values).
-    readyAt_.push_back(0);
-    tagProducer_.push_back(noSeq);
     lastInstanceTag_.assign(prog.size(), 0);
     lastInstanceSeq_.assign(prog.size(), noSeq);
 
@@ -89,6 +86,13 @@ Core::Core(const CoreParams &params, const Program &prog,
     winRing_.resize(cap);
     bufRing_.resize(cap);
     ringMask_ = cap - 1;
+    // The rename-tag ring starts at the window's size: tags are
+    // allocated in dispatch order, so without squashes the live ones
+    // span at most robEntries consecutive ids. Tag 0, the always-ready
+    // sentinel for committed and initial values, is never allocated;
+    // the empty slot 0 (and any slot holding another id) reads as it.
+    tags_.resize(cap);
+    tagMask_ = cap - 1;
 }
 
 // ---------------------------------------------------------------------
@@ -120,9 +124,41 @@ Core::predUnresolved(std::uint64_t seq) const
 std::uint64_t
 Core::allocTag(std::uint64_t producer_seq)
 {
-    readyAt_.push_back(farFuture);
-    tagProducer_.push_back(producer_seq);
-    return nextTag_++;
+    std::uint64_t tag = nextTag_++;
+    // The slot's previous tag may go only once its producer has
+    // committed (seq below the window): then no in-flight instruction
+    // can still be waiting on its readiness or inheriting its
+    // speculation, and every later read of it behaves like tag 0.
+    auto held = [this](const TagSlot &slot) {
+        return slot.id != 0 && slot.producer >= winBase_;
+    };
+    while (held(tags_[tag & tagMask_]))
+        growTagRing();
+    tags_[tag & tagMask_] = TagSlot{tag, farFuture, producer_seq};
+    return tag;
+}
+
+void
+Core::setTagReadyAt(std::uint64_t tag, std::uint64_t cycle)
+{
+    TagSlot &slot = tags_[tag & tagMask_];
+    RVP_ASSERT(slot.id == tag, "in-flight tag %llu lost its ring slot",
+               static_cast<unsigned long long>(tag));
+    slot.readyAt = cycle;
+}
+
+void
+Core::growTagRing()
+{
+    // Doubling splits slot i into slots i and i + old size, so every
+    // held tag keeps a slot of its own.
+    std::vector<TagSlot> grown(tags_.size() * 2);
+    std::uint64_t mask = grown.size() - 1;
+    for (const TagSlot &slot : tags_)
+        if (slot.id != 0)
+            grown[slot.id & mask] = slot;
+    tags_ = std::move(grown);
+    tagMask_ = mask;
 }
 
 void
@@ -153,7 +189,7 @@ Core::noteFirstUse(std::uint64_t pred_seq, std::uint64_t user_seq)
 void
 Core::inheritSpec(Inflight &inst, std::uint64_t tag)
 {
-    std::uint64_t producer = tagProducer_[tag];
+    std::uint64_t producer = tagProducer(tag);
     if (producer == noSeq)
         return;
     Inflight *prod = findSeq(producer);
@@ -301,7 +337,7 @@ Core::resetIssuedDependent(Inflight &inst, const Inflight &pred)
         // not predicted" (Section 4.3).
         inst.earliestIssue = cycle_ + 1;
         if (inst.destTag)
-            readyAt_[inst.destTag] = farFuture;
+            setTagReadyAt(inst.destTag, farFuture);
         ctr_.reissues.add();
         if (tracer_ && tracer_->sampled(inst.seq))
             tracer_->onReissue(inst.seq);
@@ -554,7 +590,7 @@ Core::issuePhase()
         // Operand readiness (full bypass: ready for exec at cycle+1).
         bool ready = true;
         for (int s = 0; s < 2 && ready; ++s)
-            ready = readyAt_[inst.srcTag[s]] <= cycle_ + 1;
+            ready = tagReadyAt(inst.srcTag[s]) <= cycle_ + 1;
         if (!ready) {
             iqList_[kept++] = seq;
             continue;
@@ -581,7 +617,7 @@ Core::issuePhase()
             releasePending_.push_back(inst.seq);
         }
         if (inst.destTag)
-            readyAt_[inst.destTag] = cycle_ + latency + 1;
+            setTagReadyAt(inst.destTag, cycle_ + latency + 1);
         if (is_fp)
             ++fp_used;
         else
@@ -990,10 +1026,10 @@ Core::stepCycle()
                 inst.isPredicted, inst.resolved, inst.specOn.size(),
                 static_cast<unsigned long long>(inst.srcTag[0]),
                 static_cast<unsigned long long>(
-                    readyAt_[inst.srcTag[0]]),
+                    tagReadyAt(inst.srcTag[0])),
                 static_cast<unsigned long long>(inst.srcTag[1]),
                 static_cast<unsigned long long>(
-                    readyAt_[inst.srcTag[1]]),
+                    tagReadyAt(inst.srcTag[1])),
                 static_cast<unsigned long long>(inst.completeCycle));
         }
     }

@@ -102,6 +102,13 @@ class Core
      */
     CoreResult finalize();
 
+    /**
+     * Slots in the rename-tag ring: the next power of two >=
+     * robEntries at construction, doubled each time tag churn (squash
+     * and re-rename behind an uncommitted head) outruns it.
+     */
+    std::size_t tagRingSlots() const { return tags_.size(); }
+
   private:
     static constexpr std::uint64_t noSeq = ~0ull;
     static constexpr std::uint64_t farFuture = ~0ull / 4;
@@ -237,9 +244,46 @@ class Core
     MapEntry map_[numArchRegs];
     std::uint64_t committedTag_[numArchRegs] = {};
 
-    std::vector<std::uint64_t> readyAt_;     ///< per tag: exec-start ready
-    std::vector<std::uint64_t> tagProducer_; ///< per tag: producing seq
+    /** One rename tag's readiness and producer. */
+    struct TagSlot
+    {
+        std::uint64_t id = 0;          ///< tag held here; 0 = empty
+        std::uint64_t readyAt = 0;     ///< exec-start ready cycle
+        std::uint64_t producer = noSeq;///< producing seq
+    };
+
+    /**
+     * Rename tags, a power-of-two ring indexed (tag & tagMask_) and
+     * sized from robEntries, so core state is O(window) rather than
+     * O(instructions run). A read that finds another id in the slot
+     * is reading a tag whose producer has committed — its value is
+     * architectural, and it behaves exactly like the always-ready
+     * sentinel tag 0 (readyAt 0, no producer). allocTag() overwrites
+     * only a committed producer's slot; if the slot's producer is
+     * still uncommitted (in flight, or squashed but its seq not yet
+     * committed again), the ring doubles first.
+     */
+    std::vector<TagSlot> tags_;
+    std::uint64_t tagMask_ = 0;
     std::uint64_t nextTag_ = 1;
+
+    std::uint64_t
+    tagReadyAt(std::uint64_t tag) const
+    {
+        const TagSlot &slot = tags_[tag & tagMask_];
+        return slot.id == tag ? slot.readyAt : 0;
+    }
+
+    std::uint64_t
+    tagProducer(std::uint64_t tag) const
+    {
+        const TagSlot &slot = tags_[tag & tagMask_];
+        return slot.id == tag ? slot.producer : noSeq;
+    }
+
+    /** Set the readiness of an in-flight instruction's own tag. */
+    void setTagReadyAt(std::uint64_t tag, std::uint64_t cycle);
+    void growTagRing();
 
     /** Per static inst: tag/seq of its most recent dispatched instance
      *  (the prediction source for LastValue specs). */

@@ -2,7 +2,8 @@
  * @file
  * Golden end-to-end stat snapshot: one workload run through
  * {baseline, static RVP, dynamic RVP} x {refetch, selective, reissue}
- * with the *entire* stat map pinned against a committed golden file,
+ * x {Table-1 core, wide core}, plus a rename-tag churn config, with
+ * the *entire* stat map pinned against a committed golden file,
  * full double precision. IPC-identity is far too weak a check for
  * timing-model refactors — two different cores can agree on IPC while
  * disagreeing on every occupancy and stall counter — so this test is
@@ -28,41 +29,74 @@
 
 #include "sim/runner.hh"
 #include "sim/sweep.hh"
+#include "uarch/core.hh"
 
 namespace rvp
 {
 namespace
 {
 
-/** The pinned grid: every recovery policy against every scheme kind. */
+/**
+ * A config whose rename-tag churn outruns the core's initial tag ring
+ * (see Core::tagRingSlots): refetch recovery keeps squashing and
+ * re-renaming the window behind an uncommitted head, so the tags of
+ * squashed producers, whose seqs have not committed yet, pile up past
+ * robEntries (the ring grows from 128 to 1024 slots).
+ */
+ExperimentConfig
+tagChurnConfig()
+{
+    ExperimentConfig config;
+    config.workload = "mgrid";
+    config.core.maxInsts = 15'000;
+    config.profileInsts = 15'000;
+    config.core.recovery = RecoveryPolicy::Refetch;
+    config.scheme = VpScheme::DynamicRvp;
+    config.assist = AssistLevel::DeadLv;
+    config.loadsOnly = false;
+    return config;
+}
+
+/**
+ * The pinned grid: every recovery policy against every scheme kind,
+ * on the Table-1 core and on the Section-7.4 wide core (ROB 256) that
+ * fig08 runs, plus the tag-churn config.
+ */
 std::vector<std::pair<std::string, ExperimentConfig>>
 goldenGrid()
 {
     std::vector<std::pair<std::string, ExperimentConfig>> grid;
-    for (auto [rname, policy] :
-         {std::pair{"refetch", RecoveryPolicy::Refetch},
-          std::pair{"selective", RecoveryPolicy::Selective},
-          std::pair{"reissue", RecoveryPolicy::Reissue}}) {
-        ExperimentConfig base;
-        base.workload = "go";
-        base.core.maxInsts = 15'000;
-        base.profileInsts = 15'000;
-        base.core.recovery = policy;
+    for (auto [suffix, core] :
+         {std::pair{"", CoreParams::table1()},
+          std::pair{"-wide", CoreParams::aggressive16()}}) {
+        for (auto [rname, policy] :
+             {std::pair{"refetch", RecoveryPolicy::Refetch},
+              std::pair{"selective", RecoveryPolicy::Selective},
+              std::pair{"reissue", RecoveryPolicy::Reissue}}) {
+            ExperimentConfig base;
+            base.workload = "go";
+            base.core = core;
+            base.core.maxInsts = 15'000;
+            base.profileInsts = 15'000;
+            base.core.recovery = policy;
+            std::string tail = std::string(rname) + suffix;
 
-        ExperimentConfig none = base;
-        grid.emplace_back(std::string("baseline-") + rname, none);
+            ExperimentConfig none = base;
+            grid.emplace_back("baseline-" + tail, none);
 
-        ExperimentConfig srvp = base;
-        srvp.scheme = VpScheme::StaticRvp;
-        srvp.assist = AssistLevel::Dead;
-        grid.emplace_back(std::string("srvp-") + rname, srvp);
+            ExperimentConfig srvp = base;
+            srvp.scheme = VpScheme::StaticRvp;
+            srvp.assist = AssistLevel::Dead;
+            grid.emplace_back("srvp-" + tail, srvp);
 
-        ExperimentConfig drvp = base;
-        drvp.scheme = VpScheme::DynamicRvp;
-        drvp.assist = AssistLevel::DeadLv;
-        drvp.loadsOnly = false;
-        grid.emplace_back(std::string("drvp-") + rname, drvp);
+            ExperimentConfig drvp = base;
+            drvp.scheme = VpScheme::DynamicRvp;
+            drvp.assist = AssistLevel::DeadLv;
+            drvp.loadsOnly = false;
+            grid.emplace_back("drvp-" + tail, drvp);
+        }
     }
+    grid.emplace_back("tag-churn", tagChurnConfig());
     return grid;
 }
 
@@ -189,6 +223,26 @@ TEST(GoldenStats, BatchedSweepMatchesTheSoloRunnerOnTheGoldenGrid)
                       formatValue(value))
                 << grid[i].first << ": " << name;
     }
+}
+
+TEST(GoldenStats, TagChurnConfigGrowsTheTagRing)
+{
+    // The tag-churn golden row covers the ring's growth path only if
+    // the ring really grew: run the config through a Core built here,
+    // read its ring size, and check this very run against the row.
+    ExperimentConfig config = tagChurnConfig();
+    PreparedRun prep = prepareExperiment(config, RunContext{});
+    Core core(config.core, prep.timedProgram(), *prep.predictor);
+    std::size_t initial = core.tagRingSlots();
+    EXPECT_GE(initial, config.core.robEntries);
+    ExperimentResult result = finishExperiment(prep, core.run(), 0.0);
+    EXPECT_GT(core.tagRingSlots(), initial);
+
+    std::map<std::string, std::string> golden =
+        readGolden(goldenPath())["tag-churn"];
+    ASSERT_EQ(golden.size(), result.stats.values().size());
+    for (const auto &[name, value] : golden)
+        EXPECT_EQ(value, formatValue(result.stats.get(name))) << name;
 }
 
 } // namespace

@@ -101,6 +101,17 @@ loopProgram(std::int32_t iters)
     return prog;
 }
 
+/** A capture of a real program, so every dynamic lane is non-empty. */
+std::shared_ptr<const CapturedStream>
+captureWithMemoryOps()
+{
+    CompiledWorkload go = compileWorkload("go", InputSet::Ref);
+    return CapturedStream::capture(go.low.program, 4'000);
+}
+
+/** The dynamic lanes of a captured stream, by corruption-seam index. */
+constexpr unsigned kStreamLanes[] = {0, 1, 2};   // value/address/taken
+
 // ---------------------------------------------------------------------
 // RunDeadline
 // ---------------------------------------------------------------------
@@ -408,9 +419,10 @@ TEST(StreamIntegrity, FreshCaptureVerifiesAndAttaches)
 
 TEST(StreamIntegrity, FlippedLaneByteFailsCursorAttach)
 {
-    for (unsigned lane : {0u, 1u, 3u}) {   // idx / value / taken
-        auto stream = CapturedStream::capture(loopProgram(2'000), 4'000);
+    for (unsigned lane : kStreamLanes) {
+        auto stream = captureWithMemoryOps();
         ASSERT_NE(stream, nullptr);
+        EXPECT_NO_THROW(StreamCursor{stream}) << "lane " << lane;
         corruptStreamForTest(*stream, lane, 0, 0x40);
         EXPECT_THROW(StreamCursor{stream}, StreamIntegrityError)
             << "lane " << lane;
@@ -421,10 +433,15 @@ TEST(StreamIntegrity, FlippedLaneByteFailsCursorAttach)
 
 TEST(StreamIntegrity, TruncatedLaneFailsCursorAttach)
 {
-    auto stream = CapturedStream::capture(loopProgram(2'000), 4'000);
-    ASSERT_NE(stream, nullptr);
-    truncateStreamForTest(*stream, 0, 1);
-    EXPECT_THROW(StreamCursor{stream}, StreamIntegrityError);
+    for (unsigned lane : kStreamLanes) {
+        auto stream = captureWithMemoryOps();
+        ASSERT_NE(stream, nullptr);
+        truncateStreamForTest(*stream, lane, 1);
+        EXPECT_THROW(StreamCursor{stream}, StreamIntegrityError)
+            << "lane " << lane;
+        EXPECT_THROW(stream->verifyIntegrity(), StreamIntegrityError)
+            << "lane " << lane;
+    }
 }
 
 TEST(StreamIntegrity, CorruptCachedStreamFallsBackToLiveInTheSweep)
@@ -432,32 +449,40 @@ TEST(StreamIntegrity, CorruptCachedStreamFallsBackToLiveInTheSweep)
     // Run 0 captures the stream; the injector corrupts it before run 1
     // attaches. Run 1 must detect the corruption at attach, drop the
     // entry, count it, and produce bit-exact results via live
-    // emulation — with no failure and no retry.
+    // emulation — with no failure and no retry. Every lane in turn.
     std::vector<ExperimentConfig> configs;
     configs.push_back(smallConfig("go"));
     configs.push_back(smallConfig("go"));
     configs[1].scheme = VpScheme::Lvp;   // same stream key, distinct run
+    std::vector<ExperimentResult> live;
+    for (const ExperimentConfig &config : configs)
+        live.push_back(runExperiment(config));
 
-    FaultPlan plan;
-    plan.faults[1] = FaultKind::CorruptStream;
-    auto log = std::make_shared<FaultLog>();
+    for (unsigned lane : kStreamLanes) {
+        FaultPlan plan;
+        plan.faults[1] = FaultKind::CorruptStream;
+        plan.corruptLane = lane;
+        auto log = std::make_shared<FaultLog>();
 
-    SweepOptions opts;
-    opts.jobs = 1;   // deterministic capture-then-corrupt ordering
-    opts.progress = false;
-    opts.runFn = makeFaultInjectingRunFn(plan, log);
-    SweepReport report;
-    std::vector<ExperimentResult> results =
-        runSweep(configs, opts, &report);
+        SweepOptions opts;
+        opts.jobs = 1;   // deterministic capture-then-corrupt ordering
+        opts.progress = false;
+        opts.runFn = makeFaultInjectingRunFn(plan, log);
+        SweepReport report;
+        std::vector<ExperimentResult> results =
+            runSweep(configs, opts, &report);
 
-    ASSERT_EQ(results.size(), 2u);
-    EXPECT_EQ(log->fired.load(), 1u);
-    EXPECT_EQ(report.cache.streamIntegrityFailures, 1u);
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        EXPECT_FALSE(results[i].failed) << i;
-        EXPECT_EQ(results[i].retries, 0u) << i;
-        expectIdentical(results[i], runExperiment(configs[i]),
-                        "corrupt-stream fallback run " + std::to_string(i));
+        std::string label = "lane " + std::to_string(lane) + " run ";
+        ASSERT_EQ(results.size(), 2u);
+        EXPECT_EQ(log->fired.load(), 1u) << label;
+        EXPECT_EQ(report.cache.streamIntegrityFailures, 1u) << label;
+        for (std::size_t i = 0; i < results.size(); ++i) {
+            EXPECT_FALSE(results[i].failed) << label << i;
+            EXPECT_EQ(results[i].retries, 0u) << label << i;
+            expectIdentical(results[i], live[i],
+                            "corrupt-stream fallback " + label +
+                                std::to_string(i));
+        }
     }
 }
 
@@ -466,25 +491,29 @@ TEST(StreamIntegrity, TruncatedCachedStreamFallsBackToLiveInTheSweep)
     std::vector<ExperimentConfig> configs;
     configs.push_back(smallConfig("mgrid"));
     configs.push_back(smallConfig("mgrid"));
+    ExperimentResult live = runExperiment(configs[1]);
 
-    FaultPlan plan;
-    plan.faults[1] = FaultKind::TruncateStream;
-    plan.corruptLane = 0;
+    for (unsigned lane : kStreamLanes) {
+        FaultPlan plan;
+        plan.faults[1] = FaultKind::TruncateStream;
+        plan.corruptLane = lane;
 
-    SweepOptions opts;
-    opts.jobs = 1;
-    opts.progress = false;
-    opts.runFn = makeFaultInjectingRunFn(plan, nullptr);
-    SweepReport report;
-    std::vector<ExperimentResult> results =
-        runSweep(configs, opts, &report);
+        SweepOptions opts;
+        opts.jobs = 1;
+        opts.progress = false;
+        opts.runFn = makeFaultInjectingRunFn(plan, nullptr);
+        SweepReport report;
+        std::vector<ExperimentResult> results =
+            runSweep(configs, opts, &report);
 
-    ASSERT_EQ(results.size(), 2u);
-    EXPECT_EQ(report.cache.streamIntegrityFailures, 1u);
-    EXPECT_FALSE(results[0].failed);
-    EXPECT_FALSE(results[1].failed);
-    expectIdentical(results[1], runExperiment(configs[1]),
-                    "truncated-stream fallback");
+        std::string label = "lane " + std::to_string(lane);
+        ASSERT_EQ(results.size(), 2u);
+        EXPECT_EQ(report.cache.streamIntegrityFailures, 1u) << label;
+        EXPECT_FALSE(results[0].failed) << label;
+        EXPECT_FALSE(results[1].failed) << label;
+        expectIdentical(results[1], live,
+                        "truncated-stream fallback " + label);
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -18,6 +18,18 @@
 
 namespace rvp
 {
+
+/**
+ * Print a workload parameter by name. gtest would otherwise print the
+ * spec's raw bytes, which hold a heap pointer, so the parameterized
+ * case names would change with every test discovery.
+ */
+void
+PrintTo(const WorkloadSpec &spec, std::ostream *os)
+{
+    *os << spec.name;
+}
+
 namespace
 {
 
@@ -320,11 +332,14 @@ INSTANTIATE_TEST_SUITE_P(All, RecoveryPolicies,
                              }
                          });
 
-TEST(Core, ValueMispredictsArePenalized)
+/**
+ * A register whose value is constant for 31 iterations and then
+ * steps: long enough runs to saturate the confidence counter, so real
+ * (wrong) predictions issue at every step.
+ */
+Program
+steppedAccumulatorLoop()
 {
-    // A register whose value is constant for 31 iterations and then
-    // steps: long enough runs to saturate the confidence counter, so
-    // real (wrong) predictions issue at every step.
     Program prog;
     prog.insts = {
         lda(1, 8000),                      // 0: counter
@@ -351,6 +366,46 @@ TEST(Core, ValueMispredictsArePenalized)
     chain.rb = 6;
     prog.insts[6] = chain;
 
+    return prog;
+}
+
+TEST(Core, TagRingStaysWindowSizedWithoutSquashes)
+{
+    // Rename tags live in a ring sized from robEntries, not in state
+    // that grows with the run. Only squash-and-refetch can outrun it
+    // (golden grid's tag-churn row); runs that never squash a renamed
+    // instruction — no prediction, or reissue recoveries — keep it at
+    // its initial size however many tags they allocate.
+    for (CoreParams params :
+         {CoreParams::table1(), CoreParams::aggressive16()}) {
+        Program loop = counterLoop(50'000);
+        auto none = makePredictor(VpConfig{}, loop);
+        Core plain(params, loop, *none);
+        std::size_t slots = plain.tagRingSlots();
+        EXPECT_GE(slots, params.robEntries);
+        EXPECT_LT(slots, 2 * params.robEntries);
+        plain.run();
+        EXPECT_EQ(plain.tagRingSlots(), slots);
+
+        for (RecoveryPolicy policy :
+             {RecoveryPolicy::Selective, RecoveryPolicy::Reissue}) {
+            Program stepped = steppedAccumulatorLoop();
+            params.recovery = policy;
+            VpConfig vp;
+            vp.scheme = VpScheme::DynamicRvp;
+            vp.loadsOnly = false;
+            auto predictor = makePredictor(vp, stepped);
+            Core core(params, stepped, *predictor);
+            CoreResult r = core.run();
+            EXPECT_GT(r.stats.get("core.reissues"), 0.0);
+            EXPECT_EQ(core.tagRingSlots(), slots);
+        }
+    }
+}
+
+TEST(Core, ValueMispredictsArePenalized)
+{
+    Program prog = steppedAccumulatorLoop();
     CoreResult base = runProgram(prog);
     CoreParams params = CoreParams::table1();
     params.recovery = RecoveryPolicy::Refetch;

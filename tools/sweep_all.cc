@@ -20,6 +20,7 @@
  * Run `sweep_all --help` for the full option set.
  */
 
+#include <sys/resource.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -183,6 +184,22 @@ gitDescribe()
     if (rc != 0 || out.empty())
         return "unknown";
     return out;
+}
+
+/**
+ * Peak resident set size in MiB (getrusage ru_maxrss, KiB on Linux):
+ * this process, or the largest child it has waited for (a --workers
+ * shard worker) when that is larger.
+ */
+double
+peakRssMb()
+{
+    rusage self{}, children{};
+    getrusage(RUSAGE_SELF, &self);
+    getrusage(RUSAGE_CHILDREN, &children);
+    return static_cast<double>(
+               std::max(self.ru_maxrss, children.ru_maxrss)) /
+           1024.0;
 }
 
 /**
@@ -1137,6 +1154,8 @@ main(int argc, char **argv)
     // are computed over core-simulation time only, so the number is
     // comparable across cache-hit-rate differences.
     if (!opts.benchOut.empty()) {
+        // Read before gitDescribe() adds a child process of its own.
+        double peak_rss_mb = peakRssMb();
         // Min/max over completed runs only, with an explicit "nothing
         // completed" flag: a legitimate zero-KIPS run (e.g. a zero-
         // instruction budget) is a valid minimum, not "unset".
@@ -1176,6 +1195,7 @@ main(int argc, char **argv)
             << ", \"insts\": " << opts.insts
             << ", \"profile_insts\": " << opts.profileInsts
             << ", \"wall_seconds\": " << jsonNum(report.wallSeconds)
+            << ", \"peak_rss_mb\": " << jsonNum(peak_rss_mb)
             << ", \"core_seconds\": " << jsonNum(total_core_seconds)
             << ", \"committed_insts\": " << jsonNum(total_committed)
             << ", \"aggregate_kips\": " << jsonNum(agg_kips)
