@@ -113,4 +113,16 @@ FrameReader::next()
     return payload;
 }
 
+ScopedSigpipeIgnore::ScopedSigpipeIgnore()
+{
+    struct sigaction ign = {};
+    ign.sa_handler = SIG_IGN;
+    ::sigaction(SIGPIPE, &ign, &old_);
+}
+
+ScopedSigpipeIgnore::~ScopedSigpipeIgnore()
+{
+    ::sigaction(SIGPIPE, &old_, nullptr);
+}
+
 } // namespace rvp

@@ -1,12 +1,10 @@
 /**
  * @file
- * Length-prefixed frame codec shared by every framed byte stream in
- * the tree: the sharded-sweep worker pipes (sim/shard.hh via
- * common/subprocess.hh) and the sweep-service Unix socket
- * (service/daemon.hh). A frame is either delivered whole or detectably
- * torn — never silently spliced — and a peer that writes garbage is
- * reported with a typed FrameError instead of a giant allocation or a
- * misread.
+ * Length-prefixed frame codec for the sweep-service Unix socket
+ * (service/daemon.hh, service/client.hh). A frame is either delivered
+ * whole or detectably torn — never silently spliced — and a peer that
+ * writes garbage is reported with a typed FrameError instead of a
+ * giant allocation or a misread.
  *
  * Frame wire format: ASCII decimal payload length, '\n', the payload
  * bytes, '\n'. The trailing newline is verified on read, so a
@@ -15,11 +13,14 @@
  *
  * Also home to the EINTR-and-short-write-safe writeAll()/readAll()
  * loops every raw fd writer in the tree shares (frames, journal
- * appends, atomic file publication).
+ * appends, atomic file publication), and to ScopedSigpipeIgnore, which
+ * turns a write to a dead peer into EPIPE instead of process death.
  */
 
 #ifndef RVP_COMMON_FRAMING_HH
 #define RVP_COMMON_FRAMING_HH
+
+#include <signal.h>
 
 #include <cstddef>
 #include <optional>
@@ -59,8 +60,8 @@ class FrameError : public std::runtime_error
 };
 
 /**
- * Default per-frame byte bound. Control-plane frames (shard protocol,
- * service requests) are hundreds of bytes; the largest legitimate
+ * Default per-frame byte bound. Control frames (service requests,
+ * status, errors) are hundreds of bytes; the largest legitimate
  * frames are service result records with full stat maps, a few tens
  * of KiB. 16 MiB leaves three orders of magnitude of headroom while
  * refusing to even attempt the multi-GiB allocation a hostile or
@@ -71,8 +72,8 @@ constexpr std::size_t defaultMaxFrameBytes = std::size_t{16} << 20;
 /**
  * Write exactly len bytes, retrying EINTR and short writes. Returns
  * false on any other write error (with SIGPIPE ignored — see
- * ScopedSigpipeIgnore in common/subprocess.hh — a dead peer reports
- * EPIPE here instead of killing the process).
+ * ScopedSigpipeIgnore below — a dead peer reports EPIPE here instead
+ * of killing the process).
  */
 bool writeAll(int fd, const void *data, std::size_t len);
 
@@ -95,8 +96,7 @@ bool writeFrame(int fd, const std::string &payload);
  * buffer. next() throws FrameError on malformed framing — including
  * any frame whose declared length exceeds maxFrameBytes, rejected
  * BEFORE buffering or allocating the payload — which callers treat
- * as peer death (pipes) or answer with a typed protocol error
- * (service connections).
+ * as peer death or answer with a typed protocol error.
  */
 class FrameReader
 {
@@ -130,6 +130,24 @@ class FrameReader
     int fd_;
     std::size_t maxFrame_;
     std::string buf_;
+};
+
+/**
+ * Ignore SIGPIPE for this object's lifetime (restoring the previous
+ * disposition), so writes to a dead peer fail with EPIPE instead of
+ * terminating the process.
+ */
+class ScopedSigpipeIgnore
+{
+  public:
+    ScopedSigpipeIgnore();
+    ~ScopedSigpipeIgnore();
+
+    ScopedSigpipeIgnore(const ScopedSigpipeIgnore &) = delete;
+    ScopedSigpipeIgnore &operator=(const ScopedSigpipeIgnore &) = delete;
+
+  private:
+    struct sigaction old_ = {};
 };
 
 } // namespace rvp

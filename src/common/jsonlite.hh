@@ -2,14 +2,15 @@
  * @file
  * Minimal single-line JSON parser for exactly the subset this repo's
  * own serializers emit: one object per line; string / number / bool
- * values; nested objects (journal "stats" maps) and flat arrays of
- * numbers (shard work units). Any deviation — a torn line from a
- * killed writer, hand-edited garbage, trailing bytes — throws, and
- * callers skip or refuse the line instead of misreading it.
+ * values; nested objects (journal "stats" maps) and arrays (a service
+ * submit's run specs). Any deviation — a torn line from a killed
+ * writer, hand-edited garbage, trailing bytes — throws, and callers
+ * skip or refuse the line instead of misreading it.
  *
- * Shared by the run journal (sim/journal.cc) and the sharded-sweep
- * worker protocol (sim/shard.cc), so the two sides of every file and
- * pipe format in the tree agree on one grammar.
+ * Shared by the run journal (sim/journal.cc), the sweep-service wire
+ * protocol (service/protocol.cc) and its result store
+ * (service/store.cc), so the two sides of every file and socket format
+ * in the tree agree on one grammar.
  */
 
 #ifndef RVP_COMMON_JSONLITE_HH

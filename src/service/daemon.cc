@@ -20,7 +20,6 @@
 
 #include "common/deadline.hh"
 #include "common/logging.hh"
-#include "common/subprocess.hh"
 #include "service/protocol.hh"
 #include "service/store.hh"
 #include "sim/journal.hh"

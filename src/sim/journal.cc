@@ -308,4 +308,16 @@ RunJournal::load(const std::string &path)
     return out;
 }
 
+RunJournal::Loaded
+loadJournalForResume(const std::string &path, const std::string &sweepHash)
+{
+    RunJournal::Loaded loaded = RunJournal::load(path);
+    if (!loaded.sweepHash.empty() && loaded.sweepHash != sweepHash)
+        throw std::runtime_error(
+            "journal '" + path + "' belongs to a different sweep "
+            "configuration (hash " + loaded.sweepHash + " != " + sweepHash +
+            "); rerun without --resume");
+    return loaded;
+}
+
 } // namespace rvp

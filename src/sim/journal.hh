@@ -152,6 +152,15 @@ class RunJournal
     std::mutex mutex_;
 };
 
+/**
+ * RunJournal::load() for a resumed sweep: throws std::runtime_error
+ * when the journal's header names a sweep hash other than sweepHash,
+ * so no run of a different configuration is merged into this one. A
+ * journal whose header did not survive (only run lines) is accepted.
+ */
+RunJournal::Loaded loadJournalForResume(const std::string &path,
+                                        const std::string &sweepHash);
+
 } // namespace rvp
 
 #endif // RVP_SIM_JOURNAL_HH

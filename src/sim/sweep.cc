@@ -372,6 +372,34 @@ summarizeKips(const std::vector<ExperimentResult> &results)
     return s;
 }
 
+std::vector<std::vector<std::size_t>>
+streamKeyGroups(const std::vector<ExperimentConfig> &configs,
+                unsigned maxGroupRuns)
+{
+    std::map<StreamKey, std::size_t> by_key;
+    std::vector<std::vector<std::size_t>> whole;
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+        auto [it, inserted] =
+            by_key.try_emplace(streamKeyFor(configs[i], false), whole.size());
+        if (inserted)
+            whole.emplace_back();
+        whole[it->second].push_back(i);
+    }
+    // Chunk oversized groups so one giant group cannot serialize the
+    // tail of the sweep across jobs. Bit-identical: members of a batch
+    // never interact, and each chunk replays the same cached stream
+    // the whole group would have.
+    std::vector<std::vector<std::size_t>> groups;
+    for (const std::vector<std::size_t> &group : whole) {
+        std::size_t chunk = maxGroupRuns == 0 ? group.size() : maxGroupRuns;
+        for (std::size_t at = 0; at < group.size(); at += chunk) {
+            std::size_t n = std::min(chunk, group.size() - at);
+            groups.emplace_back(group.begin() + at, group.begin() + at + n);
+        }
+    }
+    return groups;
+}
+
 std::vector<ExperimentResult>
 runSweep(const std::vector<ExperimentConfig> &configs,
          const SweepOptions &options, SweepReport *report)
@@ -520,30 +548,7 @@ runSweep(const std::vector<ExperimentConfig> &configs,
                     !options.runFn;
     std::vector<std::vector<std::size_t>> groups;
     if (batching) {
-        std::map<StreamKey, std::size_t> by_key;
-        std::vector<std::vector<std::size_t>> whole;
-        for (std::size_t i = 0; i < configs.size(); ++i) {
-            auto [it, inserted] =
-                by_key.try_emplace(streamKeyFor(configs[i], false),
-                                   whole.size());
-            if (inserted)
-                whole.emplace_back();
-            whole[it->second].push_back(i);
-        }
-        // Chunk oversized groups so one giant group cannot serialize
-        // the tail of the sweep across jobs. Bit-identical: members
-        // of a batch never interact, and each chunk replays the same
-        // cached stream the whole group would have.
-        for (std::vector<std::size_t> &group : whole) {
-            std::size_t chunk = options.maxBatchGroupRuns == 0
-                                    ? group.size()
-                                    : options.maxBatchGroupRuns;
-            for (std::size_t at = 0; at < group.size(); at += chunk) {
-                std::size_t n = std::min(chunk, group.size() - at);
-                groups.emplace_back(group.begin() + at,
-                                    group.begin() + at + n);
-            }
-        }
+        groups = streamKeyGroups(configs, options.maxBatchGroupRuns);
     } else {
         groups.resize(configs.size());
         for (std::size_t i = 0; i < configs.size(); ++i)

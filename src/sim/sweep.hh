@@ -258,10 +258,10 @@ struct SweepOptions
     unsigned maxBatchGroupRuns = 16;
     /**
      * Use this cache instead of a sweep-local one (stream budget and
-     * hit counters then span sweeps). A sharded-sweep worker keeps
-     * one cache across all the work units it is handed, so its
-     * compile/profile/stream work is shared exactly like a
-     * single-process sweep's. Null = per-sweep cache, constructed
+     * hit counters then span sweeps). rvpsweepd keeps one cache
+     * across every batch it executes, so repeated grids share
+     * compiles, profiles and streams; perfbench fills one outside
+     * its timed sweeps. Null = per-sweep cache, constructed
      * from streamCapture/streamCacheBytes.
      */
     WorkloadCache *sharedCache = nullptr;
@@ -342,6 +342,18 @@ unsigned defaultJobs();
  */
 void parallelFor(std::size_t count, unsigned jobs,
                  const std::function<void(std::size_t)> &body);
+
+/**
+ * The groups a batched-replay sweep runs in lockstep: the indices of
+ * configs grouped by presumed stream key (streamKeyFor with
+ * reallocFailed=false) in order of first appearance, input order
+ * within a group, each group cut into chunks of at most maxGroupRuns
+ * runs (0 = no cap). Every index lands in exactly one group and no
+ * group mixes keys.
+ */
+std::vector<std::vector<std::size_t>>
+streamKeyGroups(const std::vector<ExperimentConfig> &configs,
+                unsigned maxGroupRuns);
 
 /**
  * Run every config in the grid and return results in input order.

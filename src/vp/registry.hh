@@ -6,7 +6,7 @@
  * small key/value param bag. The experiment runner, both CLI tools,
  * and the conformance tests all resolve predictors through here, so a
  * new scheme registered once rides the whole sweep / stream-replay /
- * batching / sharding stack for free.
+ * batching / service stack for free.
  *
  * The legacy VpScheme enum (vp/oracle.hh) is kept as a thin alias
  * layer on top: each enumerator maps to one canonical registry name

@@ -2,11 +2,11 @@
  * @file
  * Robustness tests: watchdog deadlines, retry-with-degradation, stream
  * integrity verification, the crash-safe run journal, and sweep_all's
- * kill-and-resume behaviour (exercised on the real binary via
- * fork/exec/SIGKILL). Every fault class the injector can produce
- * (sim/faultinject.hh) must end in either a recorded failure or a
- * degraded-but-bit-exact result — never a crash, a hang, or a silently
- * wrong statistic.
+ * kill-and-resume behaviour and bench row (exercised on the real
+ * binary via fork/exec/SIGKILL). Every fault class the injector can
+ * produce (sim/faultinject.hh) must end in either a recorded failure or
+ * a degraded-but-bit-exact result — never a crash, a hang, or a
+ * silently wrong statistic.
  */
 
 #include <gtest/gtest.h>
@@ -21,6 +21,7 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -28,6 +29,7 @@
 #include <vector>
 
 #include "common/deadline.hh"
+#include "common/jsonlite.hh"
 #include "sim/faultinject.hh"
 #include "sim/journal.hh"
 #include "sim/runner.hh"
@@ -724,6 +726,38 @@ TEST(Journal, MissingFileLoadsEmpty)
     EXPECT_EQ(loaded.skippedLines, 0u);
 }
 
+TEST(JournalMerge, MismatchedSweepHashRefusesTheMerge)
+{
+    // --resume merges its journal through loadJournalForResume: a header
+    // naming another sweep refuses it; a lost header does not.
+    TempDir dir;
+    auto write = [&dir](const std::string &hash, const std::string &key) {
+        std::string path = dir.file(key + ".journal");
+        RunJournal journal(path);
+        if (!hash.empty())
+            journal.appendSweepHeader(hash);
+        journal.append(sampleRecord(key, false));
+        return path;
+    };
+    std::string ours = write("cafe", "k1");
+    std::string alien = write("beef", "k2");
+    std::string headerless = write("", "k3");
+    EXPECT_EQ(loadJournalForResume(ours, "cafe").runs.count("k1"), 1u);
+    try {
+        loadJournalForResume(alien, "cafe");
+        FAIL() << "a journal of another sweep was accepted";
+    } catch (const std::runtime_error &e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "different sweep configuration (hash beef != cafe)"),
+                  std::string::npos)
+            << e.what();
+    }
+    EXPECT_EQ(loadJournalForResume(headerless, "cafe").runs.size(), 1u);
+    // No journal at all is an empty one, not a refusal.
+    EXPECT_TRUE(
+        loadJournalForResume(dir.file("none.journal"), "cafe").runs.empty());
+}
+
 // ---------------------------------------------------------------------
 // sweep_all kill-and-resume (subprocess tests on the real binary)
 // ---------------------------------------------------------------------
@@ -871,6 +905,136 @@ TEST(SweepAllResume, MismatchedJournalIsRefused)
     args.push_back("--resume");
     EXPECT_NE(waitExit(spawnSweepAll(args)), 0);
     EXPECT_FALSE(std::filesystem::exists(out));
+}
+
+TEST(SweepAllResume, ResumeWithNoJournalIsRefused)
+{
+    // --no-journal turns off the file --resume reads. The pair is a
+    // usage error: it must not re-run the whole grid and leave the
+    // journal it ignored behind for a later --resume.
+    TempDir dir;
+    std::string out = dir.file("results.json");
+    std::string journal_path = out + ".journal";
+    {
+        JournalRecord rec;
+        rec.key = "0123456789abcdef";
+        rec.figure = "fig05";
+        rec.variant = "no_predict";
+        rec.workload = "go";
+        RunJournal journal(journal_path);
+        journal.append(rec);
+    }
+    std::string journal_before = readFile(journal_path);
+    std::vector<std::string> args = stableSweepArgs(out);
+    args.push_back("--resume");
+    args.push_back("--no-journal");
+    EXPECT_EQ(waitExit(spawnSweepAll(args)), 1);
+    EXPECT_FALSE(std::filesystem::exists(out));
+    EXPECT_EQ(readFile(journal_path), journal_before);
+}
+
+/** The journal (header plus one failed record per run) of a
+ *  stableSweepArgs sweep whose runs all miss an impossible deadline. */
+RunJournal::Loaded
+failedSweepJournal(const std::string &out)
+{
+    std::vector<std::string> args = stableSweepArgs(out);
+    args.insert(args.end(), {"--run-deadline", "0.000001", "--keep-going"});
+    EXPECT_EQ(waitExit(spawnSweepAll(args)), 0);
+    std::filesystem::remove(out);
+    return RunJournal::load(out + ".journal");
+}
+
+/** Rewrite path with header sweepHash (none when empty) and every run
+ *  of loaded as a success of IPC 0.125, which no real run produces. */
+void
+writeSucceededJournal(const std::string &path, const std::string &sweepHash,
+                      const RunJournal::Loaded &loaded)
+{
+    std::filesystem::remove(path);
+    RunJournal journal(path);
+    ASSERT_TRUE(journal.ok());
+    if (!sweepHash.empty())
+        journal.appendSweepHeader(sweepHash);
+    for (auto [key, rec] : loaded.runs) {
+        rec.result = ExperimentResult{};
+        rec.result.ipc = 0.125;
+        journal.append(rec);
+    }
+}
+
+std::size_t
+countOccurrences(const std::string &text, const std::string &needle)
+{
+    std::size_t count = 0;
+    for (std::size_t at = 0; (at = text.find(needle, at)) != std::string::npos;
+         at += needle.size())
+        ++count;
+    return count;
+}
+
+TEST(Coordinator, WrongSweepHashAbortsTheWholeSweep)
+{
+    // A journal of another sweep configuration is refused whole, even
+    // when its records claim every run of this grid: no run executes,
+    // nothing is appended, and no report is written.
+    TempDir dir;
+    std::string out = dir.file("results.json");
+    std::string journal_path = out + ".journal";
+    RunJournal::Loaded loaded = failedSweepJournal(out);
+    ASSERT_EQ(loaded.runs.size(), 10u);
+    writeSucceededJournal(journal_path, "0123456789abcdef", loaded);
+    std::string journal_before = readFile(journal_path);
+    std::vector<std::string> args = stableSweepArgs(out);
+    args.push_back("--resume");
+    EXPECT_EQ(waitExit(spawnSweepAll(args)), 1);
+    EXPECT_FALSE(std::filesystem::exists(out));
+    EXPECT_EQ(readFile(journal_path), journal_before);
+}
+
+TEST(Coordinator, EmptyUnitListIsTrivialSuccess)
+{
+    // A resume whose journal already holds every run has nothing left
+    // to execute: runSweep gets an empty grid, the report comes from
+    // the journal alone, and the spent journal is removed.
+    TempDir dir;
+    std::string out = dir.file("results.json");
+    RunJournal::Loaded loaded = failedSweepJournal(out);
+    ASSERT_EQ(loaded.runs.size(), 10u);
+    ASSERT_FALSE(loaded.sweepHash.empty());
+    writeSucceededJournal(out + ".journal", loaded.sweepHash, loaded);
+    std::vector<std::string> args = stableSweepArgs(out);
+    args.push_back("--resume");
+    EXPECT_EQ(waitExit(spawnSweepAll(args)), 0);
+    std::string report = readFile(out);
+    EXPECT_EQ(countOccurrences(report, "\"ipc\": "), 10u) << report;
+    EXPECT_EQ(countOccurrences(report, "\"ipc\": 0.125,"), 10u) << report;
+    EXPECT_FALSE(std::filesystem::exists(out + ".journal"));
+}
+
+TEST(SweepAllBenchRow, CarriesJobsThroughputAndPeakRss)
+{
+    TempDir dir;
+    std::string out = dir.file("results.json");
+    std::string bench = dir.file("bench.json");
+    std::vector<std::string> args{
+        "--workloads", "go",    "--figures",       "fig05",
+        "--insts",     "12000", "--profile-insts", "12000",
+        "--jobs",      "2",     "--quiet",         "--out",
+        out,           "--bench-out", bench};
+    ASSERT_EQ(waitExit(spawnSweepAll(args)), 0);
+
+    // One appended row: a single line of JSON.
+    std::string row = readFile(bench);
+    ASSERT_FALSE(row.empty());
+    ASSERT_EQ(row.find('\n'), row.size() - 1) << row;
+    row.pop_back();
+    std::map<std::string, JsonValue> obj = parseJsonLine(row);
+    EXPECT_EQ(jsonField(obj, "jobs").u64(), 2u) << row;
+    EXPECT_GT(jsonField(obj, "wall_kips").num(), 0.0) << row;
+    EXPECT_GT(jsonField(obj, "aggregate_kips").num(), 0.0) << row;
+    EXPECT_GT(jsonField(obj, "peak_rss_mb").num(), 0.0) << row;
+    EXPECT_EQ(obj.count("workers"), 0u) << row;
 }
 
 TEST(SweepAllFailures, DeadlineFailuresExitNonzeroAndResumeRecovers)

@@ -28,7 +28,6 @@
 #include <vector>
 
 #include "common/framing.hh"
-#include "common/subprocess.hh"
 #include "service/client.hh"
 #include "service/protocol.hh"
 #include "service/store.hh"
@@ -126,6 +125,76 @@ TEST(Framing, FramesRoundTripViaFill)
     EXPECT_EQ(frames[0], "hello");
     EXPECT_EQ(frames[1], "");
     EXPECT_EQ(frames[2], std::string("bin\0ary", 7));
+}
+
+TEST(Framing, FramesSurviveArbitraryFragmentation)
+{
+    int p[2];
+    ASSERT_EQ(pipe(p), 0);
+    FrameReader reader(p[0]);
+
+    // Write two frames one byte at a time, so even the length header
+    // splits across reads; the reader must reassemble them exactly.
+    std::string a = "{\"type\": \"shutdown\"}";
+    std::string b = "payload two";
+    std::string wire = std::to_string(a.size()) + "\n" + a + "\n" +
+                       std::to_string(b.size()) + "\n" + b + "\n";
+    std::vector<std::string> got;
+    for (char c : wire) {
+        ASSERT_EQ(write(p[1], &c, 1), 1);
+        ASSERT_TRUE(reader.fill());
+        while (auto payload = reader.next())
+            got.push_back(*payload);
+    }
+    close(p[0]);
+    close(p[1]);
+    ASSERT_EQ(got.size(), 2u);
+    EXPECT_EQ(got[0], a);
+    EXPECT_EQ(got[1], b);
+}
+
+TEST(Framing, WriteFrameRoundTripsAndEofIsClean)
+{
+    int p[2];
+    ASSERT_EQ(pipe(p), 0);
+    ASSERT_TRUE(writeFrame(p[1], "hello there"));
+    close(p[1]);
+    FrameReader reader(p[0]);
+    ASSERT_TRUE(reader.fill());
+    std::optional<std::string> payload = reader.next();
+    ASSERT_TRUE(payload.has_value());
+    EXPECT_EQ(*payload, "hello there");
+    // Nothing left over, and the writer's close reads as a clean EOF.
+    EXPECT_FALSE(reader.next().has_value());
+    EXPECT_FALSE(reader.fill());
+    EXPECT_EQ(reader.buffered(), 0u);
+    close(p[0]);
+}
+
+TEST(Framing, MalformedLengthAndTornTerminatorThrow)
+{
+    // The rejections of the feed()-driven tests below, reached through
+    // fill() on a real pipe.
+    auto rejection = [](const std::string &wire) {
+        int p[2];
+        EXPECT_EQ(pipe(p), 0);
+        EXPECT_EQ(write(p[1], wire.data(), wire.size()),
+                  static_cast<ssize_t>(wire.size()));
+        FrameReader reader(p[0]);
+        EXPECT_TRUE(reader.fill());
+        std::optional<FrameError::Kind> kind;
+        try {
+            reader.next();
+        } catch (const FrameError &e) {
+            kind = e.kind();
+        }
+        close(p[0]);
+        close(p[1]);
+        return kind;
+    };
+    EXPECT_EQ(rejection("bogus\npayload\n"), FrameError::Kind::BadLength);
+    // Correct length, wrong terminator: a spliced/torn stream.
+    EXPECT_EQ(rejection("3\nabcX"), FrameError::Kind::BadTerminator);
 }
 
 TEST(Framing, IncompleteFrameWaitsForMoreBytes)

@@ -105,9 +105,10 @@ TEST(Sweep, ParallelIsBitIdenticalToSerial)
 
 TEST(Sweep, ChunkedBatchGroupsStayBitIdentical)
 {
-    // Chunking a batch group (sharded work units bound group size via
-    // maxBatchGroupRuns) must not perturb a single result bit: each
-    // chunk replays the same committed stream from the same cache.
+    // Chunking a batch group (maxBatchGroupRuns bounds group size so
+    // the biggest groups cannot serialize a parallel sweep's tail)
+    // must not perturb a single result bit: each chunk replays the
+    // same committed stream from the same cache.
     std::vector<ExperimentConfig> configs = mixedGrid();
     SweepOptions plain;
     plain.jobs = 1;
@@ -153,6 +154,45 @@ TEST(Sweep, MaxBatchGroupZeroKeepsWholeGroup)
     runSweep(configs, singles, &singles_report);
     EXPECT_EQ(singles_report.batchGroups, 0u);
     EXPECT_EQ(singles_report.batchedRuns, 0u);
+}
+
+// ---------------------------------------------------------------------
+// Partition: the batch groups runSweep hands its jobs (streamKeyGroups)
+// ---------------------------------------------------------------------
+
+using Groups = std::vector<std::vector<std::size_t>>;
+
+TEST(Partition, GroupsByStreamKeyAndCoversPendingExactly)
+{
+    // Per workload, no prediction, LVP and dynamic RVP replay the one
+    // Base-binary stream; static RVP and the re-allocated binary each
+    // commit a stream of their own. Groups follow first appearance and
+    // hold every index once.
+    EXPECT_EQ(streamKeyGroups(mixedGrid(), 0),
+              (Groups{{0, 1, 3}, {2}, {4}, {5, 6, 8}, {7}, {9}}));
+    EXPECT_TRUE(streamKeyGroups({}, 0).empty());
+}
+
+TEST(Partition, ChunksOversizedGroupsWithoutMixingKeys)
+{
+    std::vector<ExperimentConfig> grid(5, smallConfig("go"));
+    grid.push_back(smallConfig("mgrid"));
+    // go: {0,1} {2,3} {4}; mgrid: {5}. Chunks keep input order.
+    EXPECT_EQ(streamKeyGroups(grid, 2), (Groups{{0, 1}, {2, 3}, {4}, {5}}));
+    // A cap no group reaches is the same as no cap.
+    EXPECT_EQ(streamKeyGroups(grid, 100), (Groups{{0, 1, 2, 3, 4}, {5}}));
+    EXPECT_EQ(streamKeyGroups(grid, 0), streamKeyGroups(grid, 100));
+}
+
+TEST(Partition, RespectsPendingSubset)
+{
+    // A resumed sweep hands runSweep only its pending runs. Of the grid
+    // go, mgrid, go, mgrid, go with runs 0 and 3 journaled, runs 1, 2
+    // and 4 are pending: groups follow the pending order (mgrid first
+    // now) and index the pending list, not the grid.
+    std::vector<ExperimentConfig> pending{
+        smallConfig("mgrid"), smallConfig("go"), smallConfig("go")};
+    EXPECT_EQ(streamKeyGroups(pending, 0), (Groups{{0}, {1, 2}}));
 }
 
 TEST(Sweep, CachedRunsMatchTheUncachedRunner)

@@ -14,22 +14,11 @@
 #include "compiler/regalloc.hh"
 #include "uarch/core.hh"
 #include "vp/oracle.hh"
+#include "workload_print.hh"
 #include "workloads/workloads.hh"
 
 namespace rvp
 {
-
-/**
- * Print a workload parameter by name. gtest would otherwise print the
- * spec's raw bytes, which hold a heap pointer, so the parameterized
- * case names would change with every test discovery.
- */
-void
-PrintTo(const WorkloadSpec &spec, std::ostream *os)
-{
-    *os << spec.name;
-}
-
 namespace
 {
 

@@ -15,6 +15,7 @@
 #include "compiler/lower.hh"
 #include "compiler/regalloc.hh"
 #include "emu/emulator.hh"
+#include "workload_print.hh"
 #include "workloads/workloads.hh"
 
 namespace rvp

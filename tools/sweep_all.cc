@@ -9,13 +9,9 @@
  *
  *   sweep_all --jobs 8 --out results.json
  *   sweep_all --insts 50000 --profile-insts 50000 --figures fig05,table2
- *   sweep_all --workers 4 --out results.json     # multi-process shards
  *
- * `--workers N` runs the grid across N forked worker processes driven
- * by the work-stealing coordinator in sim/shard.hh (each worker is
- * this same binary in hidden `--worker` mode); results come back
- * through per-worker journals and merge into the identical report a
- * single-process run would write.
+ * Every finished run is journaled to <out>.journal, so a killed sweep
+ * picks up where it left off with `--resume` (sim/journal.hh).
  *
  * Run `sweep_all --help` for the full option set.
  */
@@ -24,10 +20,8 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <functional>
 #include <iostream>
 #include <memory>
@@ -35,10 +29,8 @@
 #include <string>
 #include <vector>
 
-#include "common/subprocess.hh"
 #include "sim/journal.hh"
 #include "sim/runner.hh"
-#include "sim/shard.hh"
 #include "sim/sweep.hh"
 #include "vp/registry.hh"
 #include "workloads/workloads.hh"
@@ -81,17 +73,8 @@ struct Options
      *  so a resumed sweep's JSON is byte-identical to an
      *  uninterrupted one (used by the kill-and-resume test). */
     bool stableOutput = false;
-    /** Worker processes for a sharded sweep; 0 = single process. */
-    unsigned workers = 0;
-    /** Batched-replay group chunk bound (SweepOptions) and sharded
-     *  work-unit size bound; 0 = unchunked. */
+    /** Batched-replay group chunk bound (SweepOptions); 0 = unchunked. */
     unsigned maxBatchGroup = 16;
-    /** Print the partitioned work units and exit (shard debugging). */
-    bool dryRun = false;
-    /** Hidden: act as a sharded-sweep worker on stdin/stdout. */
-    bool workerMode = false;
-    /** Hidden: the journal this worker appends its runs to. */
-    std::string workerJournal;
 };
 
 /** One grid entry: a figure's variant applied to one workload. */
@@ -148,14 +131,9 @@ usage()
         "  --stable-output     zero host-timing fields and omit cache\n"
         "                      stats so resumed and uninterrupted\n"
         "                      sweeps emit byte-identical JSON\n"
-        "  --workers N         shard the grid across N forked worker\n"
-        "                      processes with work stealing (0 =\n"
-        "                      single process; results are identical)\n"
-        "  --max-batch-group N bound batched-replay groups and sharded\n"
-        "                      work units to N runs (default 16;\n"
-        "                      0 = unchunked; bit-identical)\n"
-        "  --dry-run           print the partitioned work units (run\n"
-        "                      keys per unit) and exit\n"
+        "  --max-batch-group N bound batched-replay groups to N runs\n"
+        "                      (default 16; 0 = unchunked;\n"
+        "                      bit-identical)\n"
         "  --quiet             suppress per-run progress lines\n";
 }
 
@@ -186,20 +164,14 @@ gitDescribe()
     return out;
 }
 
-/**
- * Peak resident set size in MiB (getrusage ru_maxrss, KiB on Linux):
- * this process, or the largest child it has waited for (a --workers
- * shard worker) when that is larger.
- */
+/** Peak resident set size of this process in MiB (getrusage
+ *  ru_maxrss, KiB on Linux). */
 double
 peakRssMb()
 {
-    rusage self{}, children{};
+    rusage self{};
     getrusage(RUSAGE_SELF, &self);
-    getrusage(RUSAGE_CHILDREN, &children);
-    return static_cast<double>(
-               std::max(self.ru_maxrss, children.ru_maxrss)) /
-           1024.0;
+    return static_cast<double>(self.ru_maxrss) / 1024.0;
 }
 
 /**
@@ -470,196 +442,6 @@ runKey(const GridEntry &entry)
     return hashHex(h);
 }
 
-// ---------------------------------------------------------------------
-// Sharded-sweep support (sim/shard.hh): the same binary is both the
-// coordinator (--workers N) and each worker (--worker, spawned by the
-// coordinator with the full grid-shaping option set forwarded so both
-// sides build the identical grid and sweep hash).
-// ---------------------------------------------------------------------
-
-std::string
-joinCsv(const std::vector<std::string> &items)
-{
-    std::string out;
-    for (const std::string &item : items) {
-        if (!out.empty())
-            out += ',';
-        out += item;
-    }
-    return out;
-}
-
-/** This executable's path, for execv (no PATH search) in workers. */
-std::string
-selfExePath(const char *argv0)
-{
-    char buf[4096];
-    ssize_t n = ::readlink("/proc/self/exe", buf, sizeof(buf) - 1);
-    if (n > 0) {
-        buf[n] = '\0';
-        return buf;
-    }
-    return argv0;
-}
-
-/**
- * argv for one worker process. Everything that shapes the grid or the
- * per-run behaviour is forwarded explicitly (workloads post-default,
- * so the worker's configHash matches even though the parent's CLI
- * left them implicit); execution-shape options (--workers, --resume,
- * --out) deliberately are not — the worker neither shards further nor
- * writes a report.
- */
-std::vector<std::string>
-workerArgs(const Options &opts, const std::string &bin,
-           const std::string &journalPath)
-{
-    std::vector<std::string> args{bin,
-                                  "--worker",
-                                  "--worker-journal",
-                                  journalPath,
-                                  "--jobs",
-                                  "1"};
-    args.push_back("--insts");
-    args.push_back(std::to_string(opts.insts));
-    args.push_back("--profile-insts");
-    args.push_back(std::to_string(opts.profileInsts));
-    args.push_back("--workloads");
-    args.push_back(joinCsv(opts.workloads));
-    if (!opts.figures.empty()) {
-        args.push_back("--figures");
-        args.push_back(joinCsv(opts.figures));
-    }
-    if (opts.hist)
-        args.push_back("--hist");
-    if (!opts.tracePrefix.empty()) {
-        args.push_back("--trace-out");
-        args.push_back(opts.tracePrefix);
-        args.push_back("--trace-sample");
-        args.push_back(std::to_string(opts.traceSample));
-    }
-    args.push_back("--stream-cache-bytes");
-    args.push_back(std::to_string(opts.streamCacheBytes));
-    args.push_back(opts.batchReplay ? "--batch-replay"
-                                    : "--no-batch-replay");
-    if (opts.runDeadline > 0.0) {
-        args.push_back("--run-deadline");
-        args.push_back(jsonNum(opts.runDeadline));
-    }
-    args.push_back("--max-batch-group");
-    args.push_back(std::to_string(opts.maxBatchGroup));
-    if (opts.quiet)
-        args.push_back("--quiet");
-    return args;
-}
-
-/**
- * Worker main loop: hello on stdout, then serve `unit` requests until
- * `shutdown` or coordinator EOF. Every finished run is journaled
- * (fsync'd) BEFORE the unit's `done` frame goes out — the pipe is
- * control plane only, so a torn pipe never loses results. One
- * WorkloadCache persists across all units this worker is handed, so
- * compile/profile/stream sharing matches a single-process sweep's.
- */
-int
-runWorker(const Options &opts, const std::vector<GridEntry> &entries,
-          const std::vector<std::string> &keys,
-          const std::string &sweep_hash)
-{
-    ScopedSigpipeIgnore sigpipe;
-
-    RunJournal journal(opts.workerJournal);
-    if (!journal.ok())
-        die("cannot open worker journal " + opts.workerJournal);
-    // A respawned worker reuses its predecessor's journal; only write
-    // the sweep header when no prior header survives.
-    if (RunJournal::load(opts.workerJournal).sweepHash.empty())
-        journal.appendSweepHeader(sweep_hash);
-
-    WorkloadCache cache(opts.streamCacheBytes);
-
-    if (!writeFrame(STDOUT_FILENO, encodeHello(sweep_hash,
-                                               entries.size())))
-        return 1;
-
-    FrameReader reader(STDIN_FILENO);
-    for (;;) {
-        std::optional<std::string> payload;
-        try {
-            while (!(payload = reader.next())) {
-                if (!reader.fill())
-                    return 0;   // coordinator went away; journal holds
-                                // everything already completed
-            }
-        } catch (const std::exception &e) {
-            std::cerr << "sweep_all worker: bad frame: " << e.what()
-                      << "\n";
-            return 1;
-        }
-        ShardMsg msg;
-        try {
-            msg = decodeShardMsg(*payload);
-        } catch (const std::exception &e) {
-            std::cerr << "sweep_all worker: bad message: " << e.what()
-                      << "\n";
-            return 1;
-        }
-        if (msg.type == "shutdown") {
-            writeFrame(STDOUT_FILENO, encodeBye(cache.stats()));
-            return 0;
-        }
-        if (msg.type != "unit") {
-            std::cerr << "sweep_all worker: unexpected message '"
-                      << msg.type << "'\n";
-            return 1;
-        }
-        std::vector<ExperimentConfig> configs;
-        configs.reserve(msg.indices.size());
-        for (std::size_t idx : msg.indices) {
-            if (idx >= entries.size()) {
-                std::cerr << "sweep_all worker: unit index " << idx
-                          << " out of grid range\n";
-                return 1;
-            }
-            configs.push_back(entries[idx].config);
-        }
-        SweepOptions sweep_opts;
-        sweep_opts.jobs = 1;
-        sweep_opts.progress = !opts.quiet;
-        sweep_opts.streamCapture = opts.streamCacheBytes > 0;
-        sweep_opts.streamCacheBytes = opts.streamCacheBytes;
-        sweep_opts.runDeadline = opts.runDeadline;
-        sweep_opts.batchReplay = opts.batchReplay;
-        sweep_opts.maxBatchGroupRuns = opts.maxBatchGroup;
-        sweep_opts.sharedCache = &cache;
-        sweep_opts.onRunComplete = [&](std::size_t pi,
-                                       const ExperimentResult &result,
-                                       double seconds) {
-            std::size_t i = msg.indices[pi];
-            JournalRecord rec;
-            rec.key = keys[i];
-            rec.figure = entries[i].figure;
-            rec.variant = entries[i].variant;
-            rec.workload = entries[i].config.workload;
-            rec.runSeconds = seconds;
-            rec.result = result;
-            journal.append(rec);
-        };
-        SweepReport unit_report;
-        std::vector<ExperimentResult> unit_results =
-            runSweep(configs, sweep_opts, &unit_report);
-        std::uint64_t ok_runs = 0, failed_runs = 0;
-        for (const ExperimentResult &r : unit_results)
-            (r.failed ? failed_runs : ok_runs)++;
-        if (!writeFrame(STDOUT_FILENO,
-                        encodeDone(msg.id, ok_runs, failed_runs,
-                                   unit_report.batchGroups,
-                                   unit_report.batchedRuns,
-                                   unit_report.batchFallouts)))
-            return 1;
-    }
-}
-
 } // namespace
 
 int
@@ -728,20 +510,12 @@ main(int argc, char **argv)
             opts.noJournal = true;
         else if (arg == "--stable-output")
             opts.stableOutput = true;
-        else if (arg == "--workers")
-            opts.workers = static_cast<unsigned>(nextU64());
         else if (arg == "--max-batch-group")
             opts.maxBatchGroup = static_cast<unsigned>(nextU64());
-        else if (arg == "--dry-run")
-            opts.dryRun = true;
         else if (arg == "--list-vp") {
             listSchemes(std::cout);
             return 0;
-        } else if (arg == "--worker")
-            opts.workerMode = true;
-        else if (arg == "--worker-journal")
-            opts.workerJournal = next();
-        else if (arg == "--quiet")
+        } else if (arg == "--quiet")
             opts.quiet = true;
         else if (arg == "--help" || arg == "-h") {
             usage();
@@ -753,11 +527,9 @@ main(int argc, char **argv)
 
     if (!opts.tracePrefix.empty() && opts.traceSample == 0)
         die("--trace-sample must be at least 1");
-    if (opts.workers > 0 && opts.noJournal)
-        die("--workers needs the journal (sharded results travel via "
-            "worker journals); drop --no-journal");
-    if (opts.workerMode && opts.workerJournal.empty())
-        die("--worker requires --worker-journal");
+    if (opts.resume && opts.noJournal)
+        die("--resume reads the journal that --no-journal turns off; "
+            "drop one of them");
 
     std::vector<std::string> all_names;
     for (const WorkloadSpec &spec : allWorkloads())
@@ -825,48 +597,39 @@ main(int argc, char **argv)
     for (const GridEntry &entry : entries)
         keys.push_back(runKey(entry));
 
-    // Hidden worker mode: the grid and keys above are rebuilt from
-    // the forwarded options, so indices over the pipe and run keys in
-    // the journal mean the same thing on both sides (the hello/hash
-    // handshake verifies it).
-    if (opts.workerMode)
-        return runWorker(opts, entries, keys, sweep_hash);
-
-    // Resume: merge the main journal and every shard journal a killed
-    // sharded sweep may have left (`<out>.journal.w<k>`), and pre-fill
-    // every run recorded as successful; only the rest is executed.
-    // Failed records are re-run (they may succeed this time, and the
-    // retry's journal line supersedes theirs — later records win, but
-    // a success never loses to a failure).
+    // Resume: load the journal once and pre-fill every run it records
+    // as successful; only the rest is executed. Failed records are
+    // re-run (they may succeed this time, and the retry's journal line
+    // supersedes theirs — later records win).
     std::vector<ExperimentResult> results(entries.size());
     std::vector<double> run_seconds(entries.size(), 0.0);
     std::vector<bool> resumed(entries.size(), false);
-    if (opts.resume && !opts.noJournal) {
-        MergedJournal merged;
+    bool journal_has_header = false;
+    if (opts.resume) {
+        RunJournal::Loaded loaded;
         try {
-            merged = mergeShardJournals(findShardJournals(journal_path),
-                                        sweep_hash);
-        } catch (const std::exception &e) {
-            die(std::string(e.what()) + "; rerun without --resume");
+            loaded = loadJournalForResume(journal_path, sweep_hash);
+        } catch (const std::runtime_error &e) {
+            die(e.what());
         }
-        if (merged.skippedLines > 0)
+        if (loaded.skippedLines > 0)
             std::cerr << "sweep_all: journal: skipped "
-                      << merged.skippedLines
+                      << loaded.skippedLines
                       << " torn/corrupt line(s)\n";
+        journal_has_header = !loaded.sweepHash.empty();
         for (std::size_t i = 0; i < entries.size(); ++i) {
-            auto it = merged.runs.find(keys[i]);
-            if (it == merged.runs.end() || it->second.result.failed)
+            auto it = loaded.runs.find(keys[i]);
+            if (it == loaded.runs.end() || it->second.result.failed)
                 continue;
             results[i] = it->second.result;
             run_seconds[i] = it->second.runSeconds;
             resumed[i] = true;
         }
-    } else if (!opts.resume && !opts.dryRun) {
-        // A fresh sweep must not inherit stale journals (main or
-        // shard): a key collision with an old run would silently skip
-        // work on a later --resume.
-        for (const std::string &path : findShardJournals(journal_path))
-            unlink(path.c_str());
+    } else {
+        // A fresh sweep must not inherit a stale journal: a key
+        // collision with an old run would silently skip work on a
+        // later --resume.
+        unlink(journal_path.c_str());
     }
 
     std::vector<std::size_t> pending;
@@ -874,158 +637,55 @@ main(int argc, char **argv)
         if (!resumed[i])
             pending.push_back(i);
 
-    // Shard debugging: show how the pending grid would partition into
-    // work units (the same partition both --workers and the in-process
-    // batcher use), then exit without running anything.
-    if (opts.dryRun) {
-        std::vector<ExperimentConfig> grid_configs;
-        grid_configs.reserve(entries.size());
-        for (const GridEntry &entry : entries)
-            grid_configs.push_back(entry.config);
-        std::vector<WorkUnit> units =
-            partitionWork(grid_configs, pending, opts.maxBatchGroup);
-        std::cout << "sweep_all: dry run: " << pending.size()
-                  << " pending of " << entries.size() << " runs in "
-                  << units.size() << " unit(s) (max "
-                  << opts.maxBatchGroup << " runs/unit)\n";
-        for (const WorkUnit &unit : units) {
-            std::cout << "unit " << unit.id << ": "
-                      << unit.indices.size() << " run(s)\n";
-            for (std::size_t i : unit.indices)
-                std::cout << "  " << keys[i] << " " << entries[i].figure
-                          << "/" << entries[i].variant << "/"
-                          << entries[i].config.workload << "\n";
-        }
-        return 0;
-    }
-
-    SweepReport report;
-    ShardReport shard;
-    const bool sharded = opts.workers > 0;
     std::cerr << "sweep_all: " << entries.size() << " runs ("
               << pending.size() << " to execute, "
-              << entries.size() - pending.size() << " resumed), ";
-    if (sharded)
-        std::cerr << "workers=" << opts.workers << "\n";
-    else
-        std::cerr << "jobs=" << (opts.jobs ? opts.jobs : defaultJobs())
-                  << "\n";
+              << entries.size() - pending.size() << " resumed), jobs="
+              << (opts.jobs ? opts.jobs : defaultJobs()) << "\n";
 
     std::unique_ptr<RunJournal> journal;
-    if (sharded) {
-        // Workers run --jobs 1 each, so the sharded report matches a
-        // single-process --jobs 1 run byte-for-byte (--stable-output
-        // omits everything else that could differ).
-        report.jobs = 1;
-        if (!pending.empty()) {
-            std::vector<ExperimentConfig> grid_configs;
-            grid_configs.reserve(entries.size());
-            for (const GridEntry &entry : entries)
-                grid_configs.push_back(entry.config);
-            std::vector<WorkUnit> units = partitionWork(
-                grid_configs, pending, opts.maxBatchGroup);
+    if (!opts.noJournal && !pending.empty()) {
+        journal = std::make_unique<RunJournal>(journal_path);
+        if (!journal->ok())
+            die("cannot open run journal " + journal_path);
+        // Header once per journal file (a resumed one has one).
+        if (!journal_has_header)
+            journal->appendSweepHeader(sweep_hash);
+    }
 
-            ShardOptions shard_opts;
-            shard_opts.workers = opts.workers;
-            shard_opts.journalPrefix = journal_path + ".w";
-            shard_opts.sweepHash = sweep_hash;
-            shard_opts.progress = !opts.quiet;
-            if (opts.runDeadline > 0.0) {
-                // A unit is at most max_unit back-to-back runs; give
-                // the worker that much budget (x2 for retries) plus
-                // startup slack before declaring it hung.
-                std::size_t max_unit = 0;
-                for (const WorkUnit &unit : units)
-                    max_unit = std::max(max_unit, unit.indices.size());
-                shard_opts.unitDeadline =
-                    opts.runDeadline * 2.0 *
-                        static_cast<double>(max_unit) +
-                    10.0;
-            }
-            const std::string bin = selfExePath(argv[0]);
-            shard_opts.workerCommand =
-                [&](unsigned, const std::string &jpath) {
-                    return workerArgs(opts, bin, jpath);
-                };
+    std::vector<ExperimentConfig> configs;
+    configs.reserve(pending.size());
+    for (std::size_t i : pending)
+        configs.push_back(entries[i].config);
 
-            auto shard_start = std::chrono::steady_clock::now();
-            if (!runShardedSweep(units, shard_opts, shard))
-                die("sharded sweep failed: " + shard.error);
-            report.wallSeconds =
-                std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - shard_start)
-                    .count();
-            report.cache = shard.cache;
-            report.batchGroups = shard.batchGroups;
-            report.batchedRuns = shard.batchedRuns;
-            report.batchFallouts = shard.batchFallouts;
-
-            // Results come back through the journals, not the pipe.
-            MergedJournal merged;
-            try {
-                merged = mergeShardJournals(
-                    findShardJournals(journal_path), sweep_hash);
-            } catch (const std::exception &e) {
-                die(e.what());
-            }
-            for (std::size_t i : pending) {
-                auto it = merged.runs.find(keys[i]);
-                if (it == merged.runs.end()) {
-                    results[i] = ExperimentResult{};
-                    results[i].failed = true;
-                    results[i].error =
-                        "no journal record after sharded sweep";
-                    continue;
-                }
-                results[i] = it->second.result;
-                run_seconds[i] = it->second.runSeconds;
-            }
-        }
-    } else {
-        if (!opts.noJournal && !pending.empty()) {
-            journal = std::make_unique<RunJournal>(journal_path);
-            if (!journal->ok())
-                die("cannot open run journal " + journal_path);
-            // Header once per journal file (a resumed one has one).
-            if (!opts.resume ||
-                RunJournal::load(journal_path).sweepHash.empty())
-                journal->appendSweepHeader(sweep_hash);
-        }
-
-        std::vector<ExperimentConfig> configs;
-        configs.reserve(pending.size());
-        for (std::size_t i : pending)
-            configs.push_back(entries[i].config);
-
-        SweepOptions sweep_opts;
-        sweep_opts.jobs = opts.jobs;
-        sweep_opts.progress = !opts.quiet;
-        sweep_opts.streamCapture = opts.streamCacheBytes > 0;
-        sweep_opts.streamCacheBytes = opts.streamCacheBytes;
-        sweep_opts.runDeadline = opts.runDeadline;
-        sweep_opts.batchReplay = opts.batchReplay;
-        sweep_opts.maxBatchGroupRuns = opts.maxBatchGroup;
-        if (journal) {
-            sweep_opts.onRunComplete =
-                [&](std::size_t pi, const ExperimentResult &result,
-                    double seconds) {
-                    std::size_t i = pending[pi];
-                    JournalRecord rec;
-                    rec.key = keys[i];
-                    rec.figure = entries[i].figure;
-                    rec.variant = entries[i].variant;
-                    rec.workload = entries[i].config.workload;
-                    rec.runSeconds = seconds;
-                    rec.result = result;
-                    journal->append(rec);
-                };
-        }
-        std::vector<ExperimentResult> executed =
-            runSweep(configs, sweep_opts, &report);
-        for (std::size_t pi = 0; pi < pending.size(); ++pi) {
-            results[pending[pi]] = std::move(executed[pi]);
-            run_seconds[pending[pi]] = report.runSeconds[pi];
-        }
+    SweepOptions sweep_opts;
+    sweep_opts.jobs = opts.jobs;
+    sweep_opts.progress = !opts.quiet;
+    sweep_opts.streamCapture = opts.streamCacheBytes > 0;
+    sweep_opts.streamCacheBytes = opts.streamCacheBytes;
+    sweep_opts.runDeadline = opts.runDeadline;
+    sweep_opts.batchReplay = opts.batchReplay;
+    sweep_opts.maxBatchGroupRuns = opts.maxBatchGroup;
+    if (journal) {
+        sweep_opts.onRunComplete = [&](std::size_t pi,
+                                       const ExperimentResult &result,
+                                       double seconds) {
+            std::size_t i = pending[pi];
+            JournalRecord rec;
+            rec.key = keys[i];
+            rec.figure = entries[i].figure;
+            rec.variant = entries[i].variant;
+            rec.workload = entries[i].config.workload;
+            rec.runSeconds = seconds;
+            rec.result = result;
+            journal->append(rec);
+        };
+    }
+    SweepReport report;
+    std::vector<ExperimentResult> executed =
+        runSweep(configs, sweep_opts, &report);
+    for (std::size_t pi = 0; pi < pending.size(); ++pi) {
+        results[pending[pi]] = std::move(executed[pi]);
+        run_seconds[pending[pi]] = report.runSeconds[pi];
     }
 
     // Throughput comes in two honest flavours: aggregate_kips divides
@@ -1093,13 +753,6 @@ main(int argc, char **argv)
         os << "  \"throughput\": {\"aggregate_kips\": "
            << jsonNum(agg_kips) << ", \"wall_kips\": "
            << jsonNum(wall_kips) << "},\n";
-        if (sharded) {
-            os << "  \"shard\": {\"workers\": " << opts.workers
-               << ", \"spawned\": " << shard.workersSpawned
-               << ", \"deaths\": " << shard.workerDeaths
-               << ", \"units_reassigned\": " << shard.unitsReassigned
-               << "},\n";
-        }
     }
     os << "  \"runs\": [\n";
     for (std::size_t i = 0; i < entries.size(); ++i) {
@@ -1191,7 +844,6 @@ main(int argc, char **argv)
         }
         bos << "]"
             << ", \"jobs\": " << report.jobs
-            << ", \"workers\": " << opts.workers
             << ", \"insts\": " << opts.insts
             << ", \"profile_insts\": " << opts.profileInsts
             << ", \"wall_seconds\": " << jsonNum(report.wallSeconds)
@@ -1275,14 +927,10 @@ main(int argc, char **argv)
     if (!opts.noJournal) {
         if (failures.empty()) {
             // Nothing left to resume: the results file is complete
-            // and durable, so the journals (main and any per-worker
-            // shards) have served their purpose.
-            for (const std::string &path :
-                 findShardJournals(journal_path))
-                unlink(path.c_str());
+            // and durable, so the journal has served its purpose.
+            unlink(journal_path.c_str());
         } else {
             std::cerr << "sweep_all: journal kept at " << journal_path
-                      << (sharded ? " (+ shard journals)" : "")
                       << " (rerun with --resume to retry failures)\n";
         }
     }
