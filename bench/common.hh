@@ -21,12 +21,12 @@
 #define RVP_BENCH_COMMON_HH
 
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <map>
 #include <string>
 #include <vector>
 
+#include "common/parse.hh"
 #include "sim/runner.hh"
 #include "sim/sweep.hh"
 #include "sim/tables.hh"
@@ -35,11 +35,13 @@
 namespace rvp::bench
 {
 
-inline std::uint64_t
-envU64(const char *name, std::uint64_t fallback)
+/** Environment knob `name`, parsed by parseNumber<T>. */
+template <typename T>
+T
+envNumber(const char *name, T fallback)
 {
     const char *value = std::getenv(name);
-    return value ? std::strtoull(value, nullptr, 10) : fallback;
+    return value ? parseNumber<T>(value, name) : fallback;
 }
 
 /** Options shared by every bench binary (set by init()). */
@@ -52,45 +54,9 @@ struct BenchOptions
 inline BenchOptions &
 benchOptions()
 {
-    static BenchOptions options{
-        static_cast<unsigned>(envU64("RVP_BENCH_JOBS", 0)), true};
+    static BenchOptions options{envNumber<unsigned>("RVP_BENCH_JOBS", 0),
+                                true};
     return options;
-}
-
-/**
- * Parse the common bench flags (--jobs/-j N, --serial, --quiet,
- * --help). Unknown arguments are fatal so typos don't silently run
- * the full default sweep.
- */
-inline void
-init(int argc, char **argv)
-{
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg == "--jobs" || arg == "-j") {
-            if (i + 1 >= argc) {
-                std::cerr << argv[0] << ": missing value for " << arg
-                          << "\n";
-                std::exit(1);
-            }
-            benchOptions().jobs =
-                static_cast<unsigned>(std::strtoul(argv[++i], nullptr, 10));
-        } else if (arg == "--serial") {
-            benchOptions().jobs = 1;
-        } else if (arg == "--quiet") {
-            benchOptions().progress = false;
-        } else if (arg == "--help" || arg == "-h") {
-            std::cout << argv[0]
-                      << " [--jobs N|-j N] [--serial] [--quiet]\n"
-                         "env: RVP_BENCH_INSTS, RVP_BENCH_PROFILE_INSTS,\n"
-                         "     RVP_BENCH_WORKLOADS, RVP_BENCH_JOBS\n";
-            std::exit(0);
-        } else {
-            std::cerr << argv[0] << ": unknown argument '" << arg
-                      << "' (try --help)\n";
-            std::exit(1);
-        }
-    }
 }
 
 inline SweepOptions
@@ -112,16 +78,7 @@ benchWorkloads()
             names.push_back(spec.name);
         return names;
     }
-    std::string s(filter);
-    std::size_t pos = 0;
-    while (pos < s.size()) {
-        std::size_t comma = s.find(',', pos);
-        if (comma == std::string::npos)
-            comma = s.size();
-        names.push_back(s.substr(pos, comma - pos));
-        pos = comma + 1;
-    }
-    return names;
+    return splitCsv(filter);
 }
 
 /** Base experiment config with the bench-wide budgets applied. */
@@ -130,9 +87,53 @@ baseConfig(const std::string &workload)
 {
     ExperimentConfig config;
     config.workload = workload;
-    config.core.maxInsts = envU64("RVP_BENCH_INSTS", 400'000);
-    config.profileInsts = envU64("RVP_BENCH_PROFILE_INSTS", 300'000);
+    config.core.maxInsts =
+        envNumber<std::uint64_t>("RVP_BENCH_INSTS", 400'000);
+    config.profileInsts =
+        envNumber<std::uint64_t>("RVP_BENCH_PROFILE_INSTS", 300'000);
     return config;
+}
+
+/**
+ * Parse the common bench flags (--jobs/-j N, --serial, --quiet,
+ * --help) and check the environment knobs with
+ * validateExperimentConfig. Unknown arguments and bad input exit 1 so
+ * typos don't silently run the full default sweep.
+ */
+inline void
+init(int argc, char **argv)
+try {
+    benchOptions();   // reads RVP_BENCH_JOBS
+    for (int i = 1; i < argc; ++i) {
+        std::string arg = argv[i];
+        if (arg == "--jobs" || arg == "-j") {
+            if (i + 1 >= argc) {
+                std::cerr << argv[0] << ": missing value for " << arg
+                          << "\n";
+                std::exit(1);
+            }
+            benchOptions().jobs = parseNumber<unsigned>(argv[++i], arg);
+        } else if (arg == "--serial") {
+            benchOptions().jobs = 1;
+        } else if (arg == "--quiet") {
+            benchOptions().progress = false;
+        } else if (arg == "--help" || arg == "-h") {
+            std::cout << argv[0]
+                      << " [--jobs N|-j N] [--serial] [--quiet]\n"
+                         "env: RVP_BENCH_INSTS, RVP_BENCH_PROFILE_INSTS,\n"
+                         "     RVP_BENCH_WORKLOADS, RVP_BENCH_JOBS\n";
+            std::exit(0);
+        } else {
+            std::cerr << argv[0] << ": unknown argument '" << arg
+                      << "' (try --help)\n";
+            std::exit(1);
+        }
+    }
+    for (const std::string &workload : benchWorkloads())
+        validateExperimentConfig(baseConfig(workload));
+} catch (const ConfigError &e) {
+    std::cerr << argv[0] << ": " << e.what() << "\n";
+    std::exit(1);
 }
 
 /** A named experiment variant applied on top of the base config. */

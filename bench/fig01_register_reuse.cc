@@ -19,7 +19,7 @@ main(int argc, char **argv)
 {
     bench::init(argc, argv);
 
-    std::uint64_t insts = envU64("RVP_BENCH_INSTS", 400'000);
+    auto insts = envNumber<std::uint64_t>("RVP_BENCH_INSTS", 400'000);
 
     TextTable table;
     table.setHeader({"program", "same reg", "dead reg", "any reg",
@@ -49,10 +49,7 @@ main(int argc, char **argv)
             static_cast<double>(p.loadAnyReg) / execs,
             static_cast<double>(p.loadRegOrLv) / execs,
         };
-        bool is_fp = false;
-        for (const WorkloadSpec &spec : allWorkloads())
-            if (spec.name == name)
-                is_fp = spec.isFloatingPoint;
+        bool is_fp = findWorkload(name)->isFloatingPoint;
         for (int i = 0; i < 4; ++i)
             (is_fp ? f_sum[i] : c_sum[i]) += cols[i];
         (is_fp ? f_count : c_count) += 1;

@@ -8,9 +8,9 @@
  *   $ ./examples/profile_report [workload] [min-coverage%]
  */
 
-#include <cstdlib>
 #include <iostream>
 
+#include "common/parse.hh"
 #include "compiler/arch_liveness.hh"
 #include "compiler/lower.hh"
 #include "compiler/regalloc.hh"
@@ -24,9 +24,11 @@ using namespace rvp;
 
 int
 main(int argc, char **argv)
-{
+try {
     std::string name = argc > 1 ? argv[1] : "m88ksim";
-    double min_rate = argc > 2 ? std::atof(argv[2]) / 100.0 : 0.5;
+    double min_rate =
+        argc > 2 ? parseNumber<double>(argv[2], "min-coverage%") / 100.0
+                 : 0.5;
 
     BuiltWorkload wl = buildWorkload(name, InputSet::Train);
     AllocResult alloc = allocateRegisters(wl.func, AllocConfig{});
@@ -108,4 +110,7 @@ main(int argc, char **argv)
                   << TextTable::percent(profile.loadRegOrLv / e) << "\n";
     }
     return 0;
+} catch (const ConfigError &e) {
+    std::cerr << "profile_report: " << e.what() << "\n";
+    return 1;
 }

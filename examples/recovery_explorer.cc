@@ -9,19 +9,21 @@
  *   $ ./examples/recovery_explorer [workload] [threshold]
  */
 
-#include <cstdlib>
 #include <iostream>
 
+#include "common/parse.hh"
 #include "sim/runner.hh"
+#include "sim/sweep.hh"
 #include "sim/tables.hh"
 
 using namespace rvp;
 
 int
 main(int argc, char **argv)
-{
+try {
     std::string workload = argc > 1 ? argv[1] : "hydro2d";
-    unsigned threshold = argc > 2 ? std::atoi(argv[2]) : 7;
+    unsigned threshold =
+        argc > 2 ? parseNumber<unsigned>(argv[2], "threshold") : 7;
 
     std::cout << "workload " << workload << ", dynamic RVP (all insts, "
               << "dead+lv assist), confidence threshold " << threshold
@@ -51,12 +53,8 @@ main(int argc, char **argv)
         config.counterThreshold = threshold;
         config.core.recovery = policy;
         ExperimentResult r = runExperiment(config);
-        const char *name = policy == RecoveryPolicy::Refetch ? "refetch"
-                           : policy == RecoveryPolicy::Reissue
-                               ? "reissue"
-                               : "selective";
         table.addRow(
-            {name, TextTable::num(r.ipc),
+            {recoveryName(policy), TextTable::num(r.ipc),
              TextTable::num(r.ipc / no_pred.ipc),
              TextTable::num(r.stats.get("core.value_mispredicts"), 0),
              TextTable::num(r.stats.get("core.reissues"), 0),
@@ -70,4 +68,7 @@ main(int argc, char **argv)
                  "The paper's threshold of 7 is a\nconservative filter "
                  "that keeps all three schemes viable.\n";
     return 0;
+} catch (const ConfigError &e) {
+    std::cerr << "recovery_explorer: " << e.what() << "\n";
+    return 1;
 }

@@ -11,9 +11,9 @@
  *   $ ./examples/sparse_matrix [density%]
  */
 
-#include <cstdlib>
 #include <iostream>
 
+#include "common/parse.hh"
 #include "common/rng.hh"
 #include "compiler/lower.hh"
 #include "compiler/regalloc.hh"
@@ -110,8 +110,9 @@ sparseMatVec(unsigned density_pct)
 
 int
 main(int argc, char **argv)
-{
-    unsigned density = argc > 1 ? std::atoi(argv[1]) : 8;
+try {
+    unsigned density =
+        argc > 1 ? parseNumber<unsigned>(argv[1], "density") : 8;
     Program prog = sparseMatVec(density);
 
     TextTable table;
@@ -152,4 +153,7 @@ main(int argc, char **argv)
                  "constant in the\ndestination register and needs no "
                  "value storage to exploit it.\n";
     return 0;
+} catch (const ConfigError &e) {
+    std::cerr << "sparse_matrix: " << e.what() << "\n";
+    return 1;
 }

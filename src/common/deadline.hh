@@ -18,9 +18,28 @@
 #include <chrono>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+
+#include "common/parse.hh"
 
 namespace rvp
 {
+
+/** Longest RunDeadline budget (about 31.7 years): steady_clock's int64
+ *  nanoseconds hold 292 years, so now() plus it cannot overflow. */
+constexpr double maxDeadlineSeconds = 1e9;
+
+/** Parse a seconds option (deadline or retry backoff): a number in
+ *  [0, maxDeadlineSeconds], 0 meaning off; else ConfigError. */
+inline double
+parseSeconds(std::string_view text, const char *field)
+{
+    double seconds = parseNumber<double>(text, field);
+    if (!(seconds >= 0.0 && seconds <= maxDeadlineSeconds))
+        throwConfigError("%s: %g seconds is outside [0, 1e9]", field,
+                         seconds);
+    return seconds;
+}
 
 /** Thrown when a RunDeadline expires; caught per run by the sweep
  *  scheduler, which records the run as failed (and retries it once
@@ -38,8 +57,9 @@ class DeadlineExceeded : public std::runtime_error
 class RunDeadline
 {
   public:
-    /** Budget in seconds from now; must be > 0 (a disabled watchdog is
-     *  a null RunDeadline pointer, not a zero budget). */
+    /** Budget in seconds from now; must be in (0, maxDeadlineSeconds]
+     *  (a disabled watchdog is a null RunDeadline pointer, not a zero
+     *  budget). */
     explicit RunDeadline(double seconds)
         : deadline_(std::chrono::steady_clock::now() +
                     std::chrono::duration_cast<

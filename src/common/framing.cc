@@ -4,6 +4,8 @@
 
 #include <cerrno>
 
+#include "common/parse.hh"
+
 namespace rvp
 {
 
@@ -43,13 +45,16 @@ readAll(int fd, void *data, std::size_t len)
     return true;
 }
 
+std::string
+encodeFrame(const std::string &payload)
+{
+    return std::to_string(payload.size()) + '\n' + payload + '\n';
+}
+
 bool
 writeFrame(int fd, const std::string &payload)
 {
-    std::string frame = std::to_string(payload.size());
-    frame += '\n';
-    frame += payload;
-    frame += '\n';
+    std::string frame = encodeFrame(payload);
     return writeAll(fd, frame.data(), frame.size());
 }
 
@@ -85,16 +90,10 @@ FrameReader::next()
                              "frame header too long");
         return std::nullopt;
     }
-    if (nl == 0 || nl > 12)
-        throw FrameError(FrameError::Kind::BadLength, "bad frame length");
     std::size_t len = 0;
-    for (std::size_t i = 0; i < nl; ++i) {
-        char c = buf_[i];
-        if (c < '0' || c > '9')
-            throw FrameError(FrameError::Kind::BadLength,
-                             "bad frame length");
-        len = len * 10 + static_cast<std::size_t>(c - '0');
-    }
+    if (nl > 12 ||
+        !tryParseNumber(std::string_view(buf_.data(), nl), len))
+        throw FrameError(FrameError::Kind::BadLength, "bad frame length");
     // Reject before buffering/allocating the payload: a hostile or
     // corrupt header must not cost a giant allocation.
     if (len > maxFrame_)

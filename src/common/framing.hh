@@ -85,8 +85,11 @@ bool writeAll(int fd, const void *data, std::size_t len);
  */
 bool readAll(int fd, void *data, std::size_t len);
 
-/** Write one framed payload (header + payload + terminator) via
- *  writeAll. Returns false on any write error. */
+/** One framed payload: header + payload + terminator. */
+std::string encodeFrame(const std::string &payload);
+
+/** Write encodeFrame(payload) via writeAll. Returns false on any
+ *  write error. */
 bool writeFrame(int fd, const std::string &payload);
 
 /**

@@ -1,23 +1,10 @@
 #include "common/jsonlite.hh"
 
-#include <cstdlib>
 #include <cstring>
 #include <stdexcept>
 
 namespace rvp
 {
-
-double
-JsonValue::num() const
-{
-    return std::strtod(str.c_str(), nullptr);
-}
-
-std::uint64_t
-JsonValue::u64() const
-{
-    return std::strtoull(str.c_str(), nullptr, 10);
-}
 
 namespace
 {
@@ -135,10 +122,10 @@ struct LineParser
         }
     }
 
-    std::map<std::string, JsonValue>
+    JsonObject
     parseObject()
     {
-        std::map<std::string, JsonValue> obj;
+        JsonObject obj;
         expect('{');
         if (peek() == '}') {
             ++p;
@@ -160,11 +147,11 @@ struct LineParser
 
 } // namespace
 
-std::map<std::string, JsonValue>
+JsonObject
 parseJsonLine(const std::string &line)
 {
     LineParser parser(line);
-    std::map<std::string, JsonValue> obj = parser.parseObject();
+    JsonObject obj = parser.parseObject();
     // Trailing garbage after the closing brace = torn line.
     parser.skipWs();
     if (parser.p != parser.end)
@@ -173,7 +160,7 @@ parseJsonLine(const std::string &line)
 }
 
 const JsonValue &
-jsonField(const std::map<std::string, JsonValue> &obj, const char *name)
+jsonField(const JsonObject &obj, const char *name)
 {
     auto it = obj.find(name);
     if (it == obj.end())

@@ -21,6 +21,8 @@
 #include <string>
 #include <vector>
 
+#include "common/parse.hh"
+
 namespace rvp
 {
 
@@ -34,20 +36,47 @@ struct JsonValue
     std::map<std::string, JsonValue> obj;
     std::vector<JsonValue> arr;
 
-    double num() const;
-    std::uint64_t u64() const;
+    /** This value as a T, kind-checked (a string, true/false, or a
+     *  number parseNumber<T> accepts); else ConfigError naming it. */
+    template <typename T>
+    T
+    get(const char *name) const
+    {
+        constexpr bool text = std::is_same_v<T, std::string>;
+        constexpr bool flag = std::is_same_v<T, bool>;
+        if (kind != (text ? Kind::Str : flag ? Kind::Bool : Kind::Num))
+            throwConfigError("%s: expected %s", name,
+                             text   ? "a string"
+                             : flag ? "true or false"
+                                    : "a number");
+        if constexpr (text)
+            return str;
+        else if constexpr (flag)
+            return boolean;
+        else
+            return parseNumber<T>(str, name);
+    }
 };
+
+using JsonObject = std::map<std::string, JsonValue>;
 
 /**
  * Parse one complete JSON object line. Throws std::runtime_error on
  * any syntax error, unsupported construct, or trailing non-space
  * bytes after the closing brace (a torn journal line).
  */
-std::map<std::string, JsonValue> parseJsonLine(const std::string &line);
+JsonObject parseJsonLine(const std::string &line);
 
 /** Required-field lookup; throws std::runtime_error when absent. */
-const JsonValue &jsonField(const std::map<std::string, JsonValue> &obj,
-                           const char *name);
+const JsonValue &jsonField(const JsonObject &obj, const char *name);
+
+/** Required field as a T: jsonField(obj, name).get<T>(name). */
+template <typename T>
+T
+jsonGet(const JsonObject &obj, const char *name)
+{
+    return jsonField(obj, name).get<T>(name);
+}
 
 } // namespace rvp
 

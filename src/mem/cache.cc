@@ -2,6 +2,7 @@
 
 #include "common/bits.hh"
 #include "common/logging.hh"
+#include "common/parse.hh"
 
 namespace rvp
 {
@@ -9,33 +10,38 @@ namespace rvp
 void
 validateCacheConfig(const CacheConfig &config)
 {
-    RVP_ASSERT(config.assoc >= 1, "cache '%s' needs at least one way",
-               config.name.c_str());
-    RVP_ASSERT(config.lineBytes >= 1 && isPowerOf2(config.lineBytes),
-               "cache '%s' line size %u is not a power of two "
-               "(the set index is addr >> log2(lineBytes))",
-               config.name.c_str(), config.lineBytes);
+    if (config.assoc < 1)
+        throwConfigError("cache '%s' needs at least one way",
+                         config.name.c_str());
+    if (config.lineBytes < 1 || !isPowerOf2(config.lineBytes))
+        throwConfigError("cache '%s' line size %u is not a power of two "
+                         "(the set index is addr >> log2(lineBytes))",
+                         config.name.c_str(), config.lineBytes);
     std::uint64_t way_bytes =
         static_cast<std::uint64_t>(config.assoc) * config.lineBytes;
-    RVP_ASSERT(config.sizeBytes >= way_bytes &&
-                   config.sizeBytes % way_bytes == 0,
-               "cache '%s' size %llu is not a whole number of "
-               "assoc*lineBytes (%llu) rows; the model would silently "
-               "shrink it to %u sets",
-               config.name.c_str(),
-               static_cast<unsigned long long>(config.sizeBytes),
-               static_cast<unsigned long long>(way_bytes),
-               config.numSets());
-    RVP_ASSERT(isPowerOf2(config.numSets()),
-               "cache '%s' has %u sets, not a power of two (the set "
-               "mask would alias distinct sets)",
-               config.name.c_str(), config.numSets());
+    if (config.sizeBytes < way_bytes || config.sizeBytes % way_bytes != 0)
+        throwConfigError("cache '%s' size %llu is not a whole number of "
+                         "assoc*lineBytes (%llu) rows; the model would "
+                         "silently shrink it to %u sets",
+                         config.name.c_str(),
+                         static_cast<unsigned long long>(config.sizeBytes),
+                         static_cast<unsigned long long>(way_bytes),
+                         config.numSets());
+    if (!isPowerOf2(config.numSets()))
+        throwConfigError("cache '%s' has %u sets, not a power of two (the "
+                         "set mask would alias distinct sets)",
+                         config.name.c_str(), config.numSets());
 }
 
 Cache::Cache(const CacheConfig &config)
     : config_(config)
 {
-    validateCacheConfig(config_);
+    // Input was checked by validateExperimentConfig: this is a bug.
+    try {
+        validateCacheConfig(config_);
+    } catch (const ConfigError &e) {
+        panic("%s", e.what());
+    }
     setShift_ = floorLog2(config_.lineBytes);
     setMask_ = config_.numSets() - 1;
     lines_.resize(static_cast<std::size_t>(config_.numSets()) *

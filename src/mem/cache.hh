@@ -34,15 +34,15 @@ struct CacheConfig
 };
 
 /**
- * Fail fast (RVP_ASSERT) on a cache geometry the model cannot index
+ * Throw ConfigError on a cache geometry the model cannot index
  * correctly. The set index is computed with a shift and a mask, so
  * lineBytes and numSets() must be powers of two, and sizeBytes must
  * factor exactly as sets * assoc * lineBytes — a non-divisible size
  * would otherwise silently round down to a smaller cache, and a
  * non-power-of-two set count would alias distinct sets onto the same
- * lines. Called by the Cache constructor and by
- * validateExperimentConfig (so a bad hierarchy is rejected before any
- * simulation work).
+ * lines. Called by validateExperimentConfig (so a bad hierarchy is
+ * rejected before any simulation work); the Cache constructor panics
+ * on its verdict.
  */
 void validateCacheConfig(const CacheConfig &config);
 

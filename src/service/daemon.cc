@@ -20,6 +20,7 @@
 
 #include "common/deadline.hh"
 #include "common/logging.hh"
+#include "common/parse.hh"
 #include "service/protocol.hh"
 #include "service/store.hh"
 #include "sim/journal.hh"
@@ -30,16 +31,6 @@ namespace rvp
 
 namespace
 {
-
-std::string
-frameBytes(const std::string &payload)
-{
-    std::string frame = std::to_string(payload.size());
-    frame += '\n';
-    frame += payload;
-    frame += '\n';
-    return frame;
-}
 
 void
 closeIf(int &fd)
@@ -248,13 +239,12 @@ struct SweepService::Impl
             so.progress = opts.progress;
             so.runDeadline = opts.runDeadlineSeconds;
             so.sharedCache = &cache;
-            so.onRunRecord = [&](const ExperimentConfig &config,
-                                 std::size_t i,
-                                 const ExperimentResult &result,
-                                 double runSeconds) {
+            so.onRunComplete = [&](std::size_t i,
+                                   const ExperimentResult &result,
+                                   double runSeconds) {
                 const std::string &key = batch[i].key;
                 std::string record =
-                    recordFor(key, config, result, runSeconds);
+                    recordFor(key, batch[i].config, result, runSeconds);
                 // Only successes are memoized: a deadline kill or an
                 // OOM is transient and must not poison the key — the
                 // next identical request re-executes it.
@@ -321,7 +311,7 @@ struct SweepService::Impl
     void
     queueFrame(Conn &conn, const std::string &payload)
     {
-        conn.out += frameBytes(payload);
+        conn.out += encodeFrame(payload);
     }
 
     void
@@ -421,13 +411,17 @@ struct SweepService::Impl
             return;
         }
         // Validate EVERY spec before queuing ANY: one bad spec
-        // rejects the whole submit, and nothing invalid can ever
-        // reach validateExperimentConfig's aborting asserts.
+        // rejects the whole submit. Each spec's config is built once
+        // here and is what gets queued.
+        std::vector<ExperimentConfig> configs;
+        configs.reserve(req.runs.size());
         for (const RunSpec &spec : req.runs) {
             try {
-                validateRunSpec(spec);
-            } catch (const ServiceError &e) {
-                sendError(conn, e.code(), e.what(), req.id);
+                configs.push_back(configForSpec(spec));
+                validateExperimentConfig(configs.back());
+            } catch (const ConfigError &e) {
+                sendError(conn, ServiceError::Code::Validation, e.what(),
+                          req.id);
                 return;
             }
         }
@@ -466,7 +460,7 @@ struct SweepService::Impl
                 return;
             }
             for (std::size_t i : fresh) {
-                pendingQ.push_back({keys[i], configForSpec(req.runs[i])});
+                pendingQ.push_back({keys[i], std::move(configs[i])});
                 pendingKeys.insert(keys[i]);
             }
         }
@@ -503,7 +497,9 @@ struct SweepService::Impl
             req = decodeClientRequest(payload);
         } catch (const ServiceError &e) {
             sendError(conn, e.code(), e.what());
-            conn.closing = true;
+            // Only a malformed message, not a bad spec, ends it.
+            if (e.code() != ServiceError::Code::Validation)
+                conn.closing = true;
             return;
         }
         switch (req.kind) {

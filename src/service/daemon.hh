@@ -10,8 +10,10 @@
  * tests/test_service.cc):
  *  - malformed or oversized frames get a typed error frame, then the
  *    connection closes; the daemon itself never dies on client input;
- *  - every RunSpec is validated (typed throw, not RVP_ASSERT) before
- *    anything is queued; one bad spec rejects the whole submit;
+ *  - every RunSpec is decoded with checked kinds and numbers, and its
+ *    config validated (a ConfigError is answered with a `validation`
+ *    frame) before anything is queued; one bad spec rejects the
+ *    whole submit;
  *  - per-connection idle deadline and per-request deadline (both
  *    RunDeadline-based) bound slow-loris clients and forgotten
  *    requests;

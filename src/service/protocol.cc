@@ -1,8 +1,10 @@
 #include "service/protocol.hh"
 
+#include <iterator>
 #include <sstream>
 
 #include "common/jsonlite.hh"
+#include "common/parse.hh"
 #include "sim/journal.hh"
 #include "sim/sweep.hh"
 #include "vp/registry.hh"
@@ -14,47 +16,12 @@ namespace rvp
 namespace
 {
 
-const struct { const char *name; AssistLevel level; } assistTable[] = {
-    {"same", AssistLevel::Same},
-    {"dead", AssistLevel::Dead},
-    {"live", AssistLevel::Live},
-    {"dead_lv", AssistLevel::DeadLv},
-    {"live_lv", AssistLevel::LiveLv},
-    {"dead_lv_stride", AssistLevel::DeadLvStride},
-};
-
-const struct { const char *name; RecoveryPolicy policy; } recoveryTable[] = {
-    {"refetch", RecoveryPolicy::Refetch},
-    {"reissue", RecoveryPolicy::Reissue},
-    {"selective", RecoveryPolicy::Selective},
-};
-
-std::optional<AssistLevel>
-assistForName(const std::string &name)
-{
-    for (const auto &e : assistTable)
-        if (name == e.name)
-            return e.level;
-    return std::nullopt;
-}
-
-std::optional<RecoveryPolicy>
-recoveryForName(const std::string &name)
-{
-    for (const auto &e : recoveryTable)
-        if (name == e.name)
-            return e.policy;
-    return std::nullopt;
-}
-
-bool
-knownServiceWorkload(const std::string &name)
-{
-    for (const WorkloadSpec &w : allWorkloads())
-        if (w.name == name)
-            return true;
-    return false;
-}
+// Indexed by ServiceError::Code: the stable wire names.
+constexpr const char *codeNames[] = {"protocol",     "oversized",
+                                     "validation",   "backpressure",
+                                     "deadline",     "draining"};
+static_assert(std::size(codeNames) ==
+              static_cast<std::size_t>(ServiceError::Code::Draining) + 1);
 
 /** Scheme in canonical registry spelling; the raw text when it does
  *  not resolve (validation reports that separately). */
@@ -64,12 +31,6 @@ canonicalScheme(const std::string &scheme)
     if (std::optional<VpScheme> s = schemeForName(scheme))
         return registryNameOf(*s);
     return scheme;
-}
-
-void
-fail(ServiceError::Code code, const std::string &what)
-{
-    throw ServiceError(code, what);
 }
 
 // --- spec <-> JSON ---------------------------------------------------
@@ -92,37 +53,33 @@ specToJson(const RunSpec &s)
     return os.str();
 }
 
-const JsonValue *
-optField(const std::map<std::string, JsonValue> &obj, const char *name)
+/** Overwrite `out` with the field when the message carries it. */
+template <typename T>
+void
+readOptional(const JsonObject &obj, const char *name, T &out)
 {
     auto it = obj.find(name);
-    return it == obj.end() ? nullptr : &it->second;
+    if (it != obj.end())
+        out = it->second.get<T>(name);
 }
 
+/** Throws ConfigError on a field of the wrong JSON kind or a number
+ *  that does not fit its field. */
 RunSpec
-specFromJson(const std::map<std::string, JsonValue> &obj)
+specFromJson(const JsonObject &obj)
 {
     RunSpec s;
-    s.workload = jsonField(obj, "workload").str;
-    s.scheme = jsonField(obj, "scheme").str;
-    if (const JsonValue *v = optField(obj, "assist"))
-        s.assist = v->str;
-    if (const JsonValue *v = optField(obj, "recovery"))
-        s.recovery = v->str;
-    if (const JsonValue *v = optField(obj, "loads_only"))
-        s.loadsOnly = v->boolean;
-    if (const JsonValue *v = optField(obj, "insts"))
-        s.insts = v->u64();
-    if (const JsonValue *v = optField(obj, "profile_insts"))
-        s.profileInsts = v->u64();
-    if (const JsonValue *v = optField(obj, "profile_threshold"))
-        s.profileThreshold = v->num();
-    if (const JsonValue *v = optField(obj, "table_entries"))
-        s.tableEntries = static_cast<unsigned>(v->u64());
-    if (const JsonValue *v = optField(obj, "counter_threshold"))
-        s.counterThreshold = static_cast<unsigned>(v->u64());
-    if (const JsonValue *v = optField(obj, "vp_params"))
-        s.vpParams = v->str;
+    s.workload = jsonGet<std::string>(obj, "workload");
+    s.scheme = jsonGet<std::string>(obj, "scheme");
+    readOptional(obj, "assist", s.assist);
+    readOptional(obj, "recovery", s.recovery);
+    readOptional(obj, "loads_only", s.loadsOnly);
+    readOptional(obj, "insts", s.insts);
+    readOptional(obj, "profile_insts", s.profileInsts);
+    readOptional(obj, "profile_threshold", s.profileThreshold);
+    readOptional(obj, "table_entries", s.tableEntries);
+    readOptional(obj, "counter_threshold", s.counterThreshold);
+    readOptional(obj, "vp_params", s.vpParams);
     return s;
 }
 
@@ -131,33 +88,15 @@ specFromJson(const std::map<std::string, JsonValue> &obj)
 const char *
 serviceCodeName(ServiceError::Code code)
 {
-    switch (code) {
-      case ServiceError::Code::Protocol:
-        return "protocol";
-      case ServiceError::Code::Oversized:
-        return "oversized";
-      case ServiceError::Code::Validation:
-        return "validation";
-      case ServiceError::Code::Backpressure:
-        return "backpressure";
-      case ServiceError::Code::Deadline:
-        return "deadline";
-      case ServiceError::Code::Draining:
-        return "draining";
-    }
-    return "protocol";
+    return codeNames[static_cast<std::size_t>(code)];
 }
 
 ServiceError::Code
 serviceCodeFromName(const std::string &name)
 {
-    for (ServiceError::Code c :
-         {ServiceError::Code::Protocol, ServiceError::Code::Oversized,
-          ServiceError::Code::Validation,
-          ServiceError::Code::Backpressure, ServiceError::Code::Deadline,
-          ServiceError::Code::Draining})
-        if (name == serviceCodeName(c))
-            return c;
+    for (std::size_t i = 0; i < std::size(codeNames); ++i)
+        if (name == codeNames[i])
+            return static_cast<ServiceError::Code>(i);
     throw ServiceError(ServiceError::Code::Protocol,
                        "unknown error code '" + name + "'");
 }
@@ -183,53 +122,20 @@ runSpecKey(const RunSpec &spec)
     return hashHex(fnv1a(canonicalSpecText(spec)));
 }
 
-void
-validateRunSpec(const RunSpec &spec)
-{
-    // Mirrors validateExperimentConfig (sim/runner.cc), which uses
-    // RVP_ASSERT and would abort the daemon; every constraint a
-    // request could trip must be re-checked here with a typed throw
-    // before any config reaches that code.
-    const auto v = ServiceError::Code::Validation;
-    if (!knownServiceWorkload(spec.workload))
-        fail(v, "unknown workload '" + spec.workload + "'");
-    std::optional<VpScheme> scheme = schemeForName(spec.scheme);
-    if (!scheme)
-        fail(v, "unknown scheme '" + spec.scheme + "'");
-    if (!assistForName(spec.assist))
-        fail(v, "unknown assist level '" + spec.assist + "'");
-    if (!recoveryForName(spec.recovery))
-        fail(v, "unknown recovery policy '" + spec.recovery + "'");
-    if (*scheme == VpScheme::StaticRvp && !spec.loadsOnly)
-        fail(v, "static RVP predicts opcode-marked loads only; "
-                "loads_only=false is contradictory");
-    if (spec.insts == 0)
-        fail(v, "insts must be > 0");
-    if (spec.profileInsts == 0)
-        fail(v, "profile_insts must be > 0");
-    if (!(spec.profileThreshold >= 0.0 && spec.profileThreshold <= 1.0))
-        fail(v, "profile_threshold must be in [0, 1]");
-    if (spec.tableEntries == 0)
-        fail(v, "table_entries must be > 0");
-    if (spec.counterThreshold > 7)
-        fail(v, "counter_threshold does not fit the 3-bit resetting "
-                "counters (max 7)");
-    try {
-        PredictorRegistry::instance().checkParams(
-            canonicalScheme(spec.scheme), VpParams::parse(spec.vpParams));
-    } catch (const VpConfigError &e) {
-        fail(v, e.what());
-    }
-}
-
 ExperimentConfig
 configForSpec(const RunSpec &spec)
 {
+    if (!findWorkload(spec.workload))
+        throwConfigError("unknown workload '%s'", spec.workload.c_str());
+    std::optional<VpScheme> scheme = schemeForName(spec.scheme);
+    if (!scheme)
+        throwConfigError("unknown scheme '%s' (see --list-vp)",
+                         spec.scheme.c_str());
     ExperimentConfig config;
     config.workload = spec.workload;
-    config.scheme = *schemeForName(spec.scheme);
-    config.assist = *assistForName(spec.assist);
-    config.core.recovery = *recoveryForName(spec.recovery);
+    config.scheme = *scheme;
+    config.assist = assistForName(spec.assist);
+    config.core.recovery = recoveryForName(spec.recovery);
     config.core.maxInsts = spec.insts;
     config.loadsOnly = spec.loadsOnly;
     config.profileInsts = spec.profileInsts;
@@ -344,23 +250,31 @@ ClientRequest
 decodeClientRequest(const std::string &payload)
 {
     try {
-        std::map<std::string, JsonValue> obj = parseJsonLine(payload);
-        const std::string &type = jsonField(obj, "type").str;
+        JsonObject obj = parseJsonLine(payload);
+        std::string type = jsonGet<std::string>(obj, "type");
         ClientRequest req;
         if (type == "hello") {
             req.kind = ClientRequest::Kind::Hello;
-            req.version =
-                static_cast<int>(jsonField(obj, "version").u64());
+            req.version = jsonGet<int>(obj, "version");
         } else if (type == "submit") {
             req.kind = ClientRequest::Kind::Submit;
-            req.id = jsonField(obj, "id").str;
+            req.id = jsonGet<std::string>(obj, "id");
             const JsonValue &runs = jsonField(obj, "runs");
             if (runs.kind != JsonValue::Kind::Arr)
                 throw std::runtime_error("runs is not an array");
             for (const JsonValue &r : runs.arr) {
                 if (r.kind != JsonValue::Kind::Obj)
                     throw std::runtime_error("run spec is not an object");
-                req.runs.push_back(specFromJson(r.obj));
+                try {
+                    req.runs.push_back(specFromJson(r.obj));
+                } catch (const ConfigError &e) {
+                    // Well-formed JSON, but a spec field no config can
+                    // hold: the spec is invalid, the stream is fine.
+                    throw ServiceError(ServiceError::Code::Validation,
+                                       "run " +
+                                           std::to_string(req.runs.size()) +
+                                           ": " + e.what());
+                }
             }
         } else if (type == "status") {
             req.kind = ClientRequest::Kind::Status;
@@ -383,40 +297,38 @@ ServerMsg
 decodeServerMsg(const std::string &payload)
 {
     try {
-        std::map<std::string, JsonValue> obj = parseJsonLine(payload);
-        const std::string &type = jsonField(obj, "type").str;
+        JsonObject obj = parseJsonLine(payload);
+        std::string type = jsonGet<std::string>(obj, "type");
         ServerMsg msg;
         if (type == "hello") {
             msg.kind = ServerMsg::Kind::Hello;
-            msg.version =
-                static_cast<int>(jsonField(obj, "version").u64());
-            msg.storeEntries = jsonField(obj, "store_entries").u64();
+            msg.version = jsonGet<int>(obj, "version");
+            msg.storeEntries = jsonGet<std::uint64_t>(obj, "store_entries");
         } else if (type == "result") {
             msg.kind = ServerMsg::Kind::Result;
-            msg.id = jsonField(obj, "id").str;
-            msg.index = jsonField(obj, "index").u64();
-            msg.key = jsonField(obj, "key").str;
-            msg.cached = jsonField(obj, "cached").boolean;
-            msg.record = jsonField(obj, "record").str;
+            msg.id = jsonGet<std::string>(obj, "id");
+            msg.index = jsonGet<std::uint64_t>(obj, "index");
+            msg.key = jsonGet<std::string>(obj, "key");
+            msg.cached = jsonGet<bool>(obj, "cached");
+            msg.record = jsonGet<std::string>(obj, "record");
         } else if (type == "error") {
             msg.kind = ServerMsg::Kind::Error;
-            msg.code = serviceCodeFromName(jsonField(obj, "code").str);
-            msg.message = jsonField(obj, "message").str;
-            if (const JsonValue *v = optField(obj, "id"))
-                msg.id = v->str;
+            msg.code =
+                serviceCodeFromName(jsonGet<std::string>(obj, "code"));
+            msg.message = jsonGet<std::string>(obj, "message");
+            readOptional(obj, "id", msg.id);
         } else if (type == "status") {
             msg.kind = ServerMsg::Kind::Status;
-            msg.status.storeEntries =
-                jsonField(obj, "store_entries").u64();
-            msg.status.queued = jsonField(obj, "queued").u64();
-            msg.status.inflight = jsonField(obj, "inflight").u64();
-            msg.status.clients = jsonField(obj, "clients").u64();
-            msg.status.executed = jsonField(obj, "executed").u64();
-            msg.status.servedCached =
-                jsonField(obj, "served_cached").u64();
-            msg.status.dedupSubscribed =
-                jsonField(obj, "dedup_subscribed").u64();
-            msg.status.draining = jsonField(obj, "draining").boolean;
+            ServiceStatus &st = msg.status;
+            st.storeEntries = jsonGet<std::uint64_t>(obj, "store_entries");
+            st.queued = jsonGet<std::uint64_t>(obj, "queued");
+            st.inflight = jsonGet<std::uint64_t>(obj, "inflight");
+            st.clients = jsonGet<std::uint64_t>(obj, "clients");
+            st.executed = jsonGet<std::uint64_t>(obj, "executed");
+            st.servedCached = jsonGet<std::uint64_t>(obj, "served_cached");
+            st.dedupSubscribed =
+                jsonGet<std::uint64_t>(obj, "dedup_subscribed");
+            st.draining = jsonGet<bool>(obj, "draining");
         } else if (type == "bye") {
             msg.kind = ServerMsg::Kind::Bye;
         } else {

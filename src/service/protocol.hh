@@ -26,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "common/parse.hh"
 #include "sim/runner.hh"
 
 namespace rvp
@@ -38,8 +39,7 @@ constexpr int serviceProtocolVersion = 1;
 /**
  * A typed service failure. The code is what travels in error frames
  * (stable strings, see codeName()); the message is human-readable
- * detail. Thrown by the decoders and validators, answered as frames
- * by the daemon.
+ * detail. Thrown by the decoders, answered as frames by the daemon.
  */
 class ServiceError : public std::runtime_error
 {
@@ -108,15 +108,12 @@ std::string canonicalSpecText(const RunSpec &spec);
 std::string runSpecKey(const RunSpec &spec);
 
 /**
- * Reject anything validateExperimentConfig would abort on — with a
- * typed throw instead. The daemon calls this on every spec of a
- * submit before queuing any of them; a failure rejects the whole
- * submit and the process never reaches an RVP_ASSERT. Throws
- * ServiceError(Validation).
+ * The ExperimentConfig a spec describes; throws ConfigError on an
+ * unknown workload, scheme, assist or recovery name. The daemon checks
+ * every spec of a submit by building its config here and passing it to
+ * validateExperimentConfig (sweepctl does the same before connecting),
+ * and answers a ConfigError with a `validation` error frame.
  */
-void validateRunSpec(const RunSpec &spec);
-
-/** Build the ExperimentConfig a validated spec describes. */
 ExperimentConfig configForSpec(const RunSpec &spec);
 
 /** A client request, decoded. */
@@ -192,7 +189,8 @@ std::string encodeErrorReply(ServiceError::Code code,
 std::string encodeStatusReply(const ServiceStatus &status);
 std::string encodeByeReply();
 
-// --- decoders (throw ServiceError(Protocol) on anything malformed) --
+// --- decoders (throw ServiceError(Protocol) on anything malformed, or
+// Validation on a spec field of the wrong kind or out of range) ------
 
 ClientRequest decodeClientRequest(const std::string &payload);
 ServerMsg decodeServerMsg(const std::string &payload);

@@ -3,10 +3,8 @@
 #include <cerrno>
 #include <cstring>
 #include <fcntl.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
-#include <fstream>
 #include <sstream>
 
 #include "common/framing.hh"
@@ -41,63 +39,26 @@ ResultStore::ResultStore(const std::string &path) : path_(path)
     // (a compacted file has none), torn or corrupt lines — the
     // possible last line of a SIGKILLed daemon — are counted and
     // skipped, exactly like RunJournal::load.
-    {
-        std::ifstream is(path, std::ios::binary);
-        std::string line;
-        while (is && std::getline(is, line)) {
-            if (line.empty())
-                continue;
-            try {
-                std::map<std::string, JsonValue> obj =
-                    parseJsonLine(line);
-                const std::string &type = jsonField(obj, "type").str;
-                if (type == "store")
-                    continue;
-                if (type != "put")
-                    throw std::runtime_error("unknown store line");
-                entries_.insert_or_assign(jsonField(obj, "key").str,
-                                          jsonField(obj, "record").str);
-            } catch (const std::exception &) {
-                ++skipped_;
-            }
-        }
-    }
+    skipped_ = replayJsonLines(path, [&](const JsonObject &obj) {
+        std::string type = jsonGet<std::string>(obj, "type");
+        if (type == "put")
+            entries_.insert_or_assign(jsonGet<std::string>(obj, "key"),
+                                      jsonGet<std::string>(obj, "record"));
+        else if (type != "store")
+            throw std::runtime_error("unknown store line");
+    });
     recovered_ = entries_.size();
 
-    struct stat st;
-    bool existed = stat(path.c_str(), &st) == 0;
-    fd_ = open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC,
-               0644);
+    bool created = false;
+    fd_ = openAppendLog(path, &created);
     if (fd_ < 0) {
         warn("cannot open result store '%s': %s", path.c_str(),
              std::strerror(errno));
-        return;
-    }
-    if (!existed) {
+    } else if (created) {
         std::lock_guard<std::mutex> lock(mutex_);
-        if (!appendLineLocked(headerLine()) || !fsyncParentDir(path))
+        if (!appendLineLocked(headerLine()))
             warn("cannot initialize result store '%s': %s",
                  path.c_str(), std::strerror(errno));
-        return;
-    }
-    // Heal a torn tail: a SIGKILL mid-append can leave the file
-    // without a trailing newline. Appending onto that tail would
-    // splice the next put into the torn line and lose BOTH on the
-    // next replay, so terminate the tear before the first append.
-    if (st.st_size > 0) {
-        char last = '\n';
-        int rfd = open(path.c_str(), O_RDONLY | O_CLOEXEC);
-        if (rfd >= 0) {
-            if (pread(rfd, &last, 1, st.st_size - 1) != 1)
-                last = '\n';
-            close(rfd);
-        }
-        if (last != '\n') {
-            std::lock_guard<std::mutex> lock(mutex_);
-            if (!writeAll(fd_, "\n", 1) || fsync(fd_) != 0)
-                warn("cannot heal torn store tail '%s': %s",
-                     path.c_str(), std::strerror(errno));
-        }
     }
 }
 

@@ -82,6 +82,55 @@ fsyncParentDir(const std::string &path)
     return ok;
 }
 
+int
+openAppendLog(const std::string &path, bool *created)
+{
+    struct stat st;
+    bool existed = stat(path.c_str(), &st) == 0;
+    int fd = open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC,
+                  0644);
+    if (fd < 0)
+        return -1;
+    if (created)
+        *created = !existed;
+    char last = '\n';
+    int rfd = existed && st.st_size > 0
+                  ? open(path.c_str(), O_RDONLY | O_CLOEXEC)
+                  : -1;
+    if (rfd >= 0) {
+        if (pread(rfd, &last, 1, st.st_size - 1) != 1)
+            last = '\n';
+        close(rfd);
+    }
+    bool ok = existed ? last == '\n' ||
+                            (writeAll(fd, "\n", 1) && fsync(fd) == 0)
+                      : fsyncParentDir(path);
+    if (!ok)
+        warn("cannot %s '%s': %s",
+             existed ? "heal the torn tail of" : "fsync the directory of",
+             path.c_str(), std::strerror(errno));
+    return fd;
+}
+
+std::size_t
+replayJsonLines(const std::string &path,
+                const std::function<void(const JsonObject &)> &onLine)
+{
+    std::size_t skipped = 0;
+    std::ifstream is(path, std::ios::binary);
+    std::string line;
+    while (is && std::getline(is, line)) {
+        if (line.empty())
+            continue;
+        try {
+            onLine(parseJsonLine(line));
+        } catch (const std::exception &) {
+            ++skipped;
+        }
+    }
+    return skipped;
+}
+
 bool
 writeFileAtomic(const std::string &path, const std::string &contents)
 {
@@ -135,21 +184,11 @@ appendLineAtomic(const std::string &path, const std::string &line)
 // Journal append side
 // ---------------------------------------------------------------------
 
-RunJournal::RunJournal(const std::string &path) : path_(path)
+RunJournal::RunJournal(const std::string &path)
+    : path_(path), fd_(openAppendLog(path))
 {
-    struct stat st;
-    bool existed = stat(path.c_str(), &st) == 0;
-    fd_ = open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
-    if (fd_ < 0) {
+    if (fd_ < 0)
         warn("cannot open run journal '%s': %s", path.c_str(),
-             std::strerror(errno));
-        return;
-    }
-    // A freshly created journal needs its directory entry on disk
-    // before the first fsync'd append can be called durable — the
-    // same guarantee writeFileAtomic makes for renames.
-    if (!existed && !fsyncParentDir(path))
-        warn("cannot fsync journal directory for '%s': %s", path.c_str(),
              std::strerror(errno));
 }
 
@@ -223,31 +262,31 @@ namespace
 
 /** Field extraction shared by load() and parseJournalRunLine(); the
  *  caller has already checked type == "run". Throws on any missing or
- *  mistyped field (jsonField's contract). */
+ *  mistyped field (jsonGet's contract). */
 JournalRecord
-recordFromJson(const std::map<std::string, JsonValue> &obj)
+recordFromJson(const JsonObject &obj)
 {
     JournalRecord rec;
-    rec.key = jsonField(obj, "key").str;
-    rec.figure = jsonField(obj, "figure").str;
-    rec.variant = jsonField(obj, "variant").str;
-    rec.workload = jsonField(obj, "workload").str;
-    rec.runSeconds = jsonField(obj, "run_seconds").num();
+    rec.key = jsonGet<std::string>(obj, "key");
+    rec.figure = jsonGet<std::string>(obj, "figure");
+    rec.variant = jsonGet<std::string>(obj, "variant");
+    rec.workload = jsonGet<std::string>(obj, "workload");
+    rec.runSeconds = jsonGet<double>(obj, "run_seconds");
     ExperimentResult &r = rec.result;
-    r.ipc = jsonField(obj, "ipc").num();
-    r.cycles = jsonField(obj, "cycles").u64();
-    r.committed = jsonField(obj, "committed").u64();
-    r.predictedFrac = jsonField(obj, "predicted_frac").num();
-    r.accuracy = jsonField(obj, "accuracy").num();
-    r.reallocFailed = jsonField(obj, "realloc_failed").boolean;
-    r.hostSeconds = jsonField(obj, "host_seconds").num();
-    r.kips = jsonField(obj, "kips").num();
-    r.failed = jsonField(obj, "failed").boolean;
-    r.error = jsonField(obj, "error").str;
-    r.retries = static_cast<unsigned>(jsonField(obj, "retries").u64());
-    r.degraded = jsonField(obj, "degraded").boolean;
+    r.ipc = jsonGet<double>(obj, "ipc");
+    r.cycles = jsonGet<std::uint64_t>(obj, "cycles");
+    r.committed = jsonGet<std::uint64_t>(obj, "committed");
+    r.predictedFrac = jsonGet<double>(obj, "predicted_frac");
+    r.accuracy = jsonGet<double>(obj, "accuracy");
+    r.reallocFailed = jsonGet<bool>(obj, "realloc_failed");
+    r.hostSeconds = jsonGet<double>(obj, "host_seconds");
+    r.kips = jsonGet<double>(obj, "kips");
+    r.failed = jsonGet<bool>(obj, "failed");
+    r.error = jsonGet<std::string>(obj, "error");
+    r.retries = jsonGet<unsigned>(obj, "retries");
+    r.degraded = jsonGet<bool>(obj, "degraded");
     for (const auto &[name, value] : jsonField(obj, "stats").obj)
-        r.stats.set(name, value.num());
+        r.stats.set(name, value.get<double>(name.c_str()));
     return rec;
 }
 
@@ -257,8 +296,8 @@ std::optional<JournalRecord>
 parseJournalRunLine(const std::string &line)
 {
     try {
-        std::map<std::string, JsonValue> obj = parseJsonLine(line);
-        if (jsonField(obj, "type").str != "run")
+        JsonObject obj = parseJsonLine(line);
+        if (jsonGet<std::string>(obj, "type") != "run")
             return std::nullopt;
         return recordFromJson(obj);
     } catch (const std::exception &) {
@@ -283,28 +322,17 @@ RunJournal::Loaded
 RunJournal::load(const std::string &path)
 {
     Loaded out;
-    std::ifstream is(path, std::ios::binary);
-    if (!is)
-        return out;
-    std::string line;
-    while (std::getline(is, line)) {
-        if (line.empty())
-            continue;
-        try {
-            std::map<std::string, JsonValue> obj = parseJsonLine(line);
-            const std::string &type = jsonField(obj, "type").str;
-            if (type == "sweep") {
-                out.sweepHash = jsonField(obj, "sweep_hash").str;
-                continue;
-            }
-            if (type != "run")
-                throw std::runtime_error("unknown record type");
+    out.skippedLines = replayJsonLines(path, [&](const JsonObject &obj) {
+        std::string type = jsonGet<std::string>(obj, "type");
+        if (type == "sweep") {
+            out.sweepHash = jsonGet<std::string>(obj, "sweep_hash");
+        } else if (type == "run") {
             JournalRecord rec = recordFromJson(obj);
             out.runs.insert_or_assign(rec.key, std::move(rec));
-        } catch (const std::exception &) {
-            ++out.skippedLines;
+        } else {
+            throw std::runtime_error("unknown record type");
         }
-    }
+    });
     return out;
 }
 

@@ -22,12 +22,14 @@
 #define RVP_SIM_JOURNAL_HH
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
 
+#include "common/jsonlite.hh"
 #include "sim/runner.hh"
 
 namespace rvp
@@ -44,8 +46,9 @@ std::string hashHex(std::uint64_t h);
  *  our serialized fields can contain that need it). */
 std::string jsonEscape(const std::string &s);
 
-/** Shortest round-trip double formatting (%.17g): parsing the result
- *  with strtod yields the identical bit pattern. */
+/** Round-trip double formatting (%.17g): parseNumber<double>
+ *  (common/parse.hh) reads the result back to the identical bit
+ *  pattern. */
 std::string jsonNum(double value);
 
 /**
@@ -56,6 +59,21 @@ std::string jsonNum(double value);
  * file ever existed. Returns false on any error.
  */
 bool fsyncParentDir(const std::string &path);
+
+/**
+ * Open path to append fsync'd lines (RunJournal, ResultStore). A new
+ * file's directory entry is fsync'd; an existing file's torn last line
+ * (a SIGKILL mid-append) is ended first, so the next line is not
+ * spliced onto it. Returns the fd or -1 (errno set).
+ */
+int openAppendLog(const std::string &path, bool *created = nullptr);
+
+/** Hand onLine each non-empty line of the JSONL file at path, parsed,
+ *  in order; returns how many lines failed to parse or made onLine
+ *  throw (a torn tail, garbage), which are skipped. */
+std::size_t replayJsonLines(
+    const std::string &path,
+    const std::function<void(const JsonObject &)> &onLine);
 
 /**
  * Write contents to path atomically: a temp file beside the target is

@@ -53,15 +53,6 @@ buildCandidates(const ProfileRun &pr, const LowerResult &low,
     return cands;
 }
 
-bool
-knownWorkload(const std::string &name)
-{
-    for (const WorkloadSpec &spec : allWorkloads())
-        if (spec.name == name)
-            return true;
-    return false;
-}
-
 } // namespace
 
 CompiledWorkload
@@ -118,39 +109,50 @@ profileWorkload(const std::string &workload, std::uint64_t insts,
 void
 validateExperimentConfig(const ExperimentConfig &config)
 {
-    RVP_ASSERT(knownWorkload(config.workload),
-               "unknown workload '%s' (see allWorkloads())",
-               config.workload.c_str());
-    RVP_ASSERT(!(config.realisticRealloc &&
-                 config.scheme != VpScheme::DynamicRvp),
-               "realisticRealloc re-colours the registers for "
-               "same-register dynamic RVP and would discard scheme %s; "
-               "use VpScheme::DynamicRvp",
-               schemeName(config.scheme));
-    RVP_ASSERT(!(config.realisticRealloc &&
-                 config.assist != AssistLevel::Same),
-               "realisticRealloc replaces the %s profile application "
-               "with a real re-allocation; assist must stay Same",
-               assistName(config.assist));
-    RVP_ASSERT(!(config.scheme == VpScheme::StaticRvp && !config.loadsOnly),
-               "static RVP predicts opcode-marked loads only; "
-               "loadsOnly=false is contradictory");
-    RVP_ASSERT(config.tableEntries > 0,
-               "predictor table must have at least one entry");
-    RVP_ASSERT(config.counterThreshold <= 7,
-               "confidence threshold %u does not fit the 3-bit "
-               "resetting counters (max 7)",
-               config.counterThreshold);
-    RVP_ASSERT(config.profileThreshold >= 0.0 &&
-                   config.profileThreshold <= 1.0,
-               "profile selection threshold %g is not a rate in [0, 1]",
-               config.profileThreshold);
-    RVP_ASSERT(config.traceOut.empty() || config.traceSample > 0,
-               "traceSample must be > 0 when tracing (it is the "
-               "sample divisor seq %% N == 0)");
+    if (!findWorkload(config.workload))
+        throwConfigError("unknown workload '%s' (see allWorkloads())",
+                         config.workload.c_str());
+    auto checkBudget = [](const char *field, std::uint64_t insts) {
+        if (insts == 0 || insts > maxInstBudget)
+            throwConfigError("%s %llu is outside [1, 2^40]: a run needs "
+                             "an instruction, and its replay bound must "
+                             "not wrap",
+                             field, static_cast<unsigned long long>(insts));
+    };
+    checkBudget("insts", config.core.maxInsts);
+    checkBudget("profile_insts", config.profileInsts);
+    if (config.realisticRealloc && config.scheme != VpScheme::DynamicRvp)
+        throwConfigError("realloc with scheme %s: realisticRealloc "
+                         "re-colours the registers for same-register "
+                         "dynamic RVP and would discard the scheme; use "
+                         "drvp",
+                         schemeName(config.scheme));
+    if (config.realisticRealloc && config.assist != AssistLevel::Same)
+        throwConfigError("realloc with assist %s: realisticRealloc "
+                         "replaces the profile application with a real "
+                         "re-allocation; assist must stay same",
+                         assistName(config.assist));
+    if (config.scheme == VpScheme::StaticRvp && !config.loadsOnly)
+        throwConfigError("scheme srvp with loads_only false: static RVP "
+                         "predicts opcode-marked loads only; "
+                         "loadsOnly=false is contradictory");
+    if (config.tableEntries == 0 || config.tableEntries > maxTableEntries)
+        throwConfigError("table_entries %u is outside [1, %u]: a "
+                         "predictor table needs at least one entry",
+                         config.tableEntries, maxTableEntries);
+    if (config.counterThreshold > 7)
+        throwConfigError("counter_threshold %u does not fit the 3-bit "
+                         "resetting confidence counters (max 7)",
+                         config.counterThreshold);
+    if (!(config.profileThreshold >= 0.0 && config.profileThreshold <= 1.0))
+        throwConfigError("profile_threshold %g is not a rate in [0, 1]",
+                         config.profileThreshold);
+    if (!config.traceOut.empty() && config.traceSample == 0)
+        throwConfigError("trace_sample 0: traceSample must be > 0 when "
+                         "tracing (it is the sample divisor seq %% N == "
+                         "0)");
     // Scheme-specific params: parse the bag and check every key
-    // against the registry's declaration for this scheme. Throws
-    // VpConfigError (not an assert) so CLIs and tests can catch it.
+    // against the registry's declaration for this scheme.
     PredictorRegistry::instance().checkParams(
         registryNameOf(config.scheme),
         VpParams::parse(config.vpParams));

@@ -202,11 +202,19 @@ CompiledWorkload compileWorkload(const std::string &name, InputSet input,
 ProfileRun profileCompiled(const CompiledWorkload &c, std::uint64_t insts,
                            const RunDeadline *deadline = nullptr);
 
+/** Largest instruction budget (timed or profiled) a config may ask
+ *  for: ample, and the replay bound maxInsts + robEntries +
+ *  commitWidth stays far from wrapping. */
+constexpr std::uint64_t maxInstBudget = std::uint64_t{1} << 40;
+
 /**
- * Fail fast (RVP_ASSERT) on contradictory experiment configurations —
+ * The one validator: throws ConfigError (common/parse.hh) naming the
+ * field, the value and the rule when a config cannot run as asked —
+ * unknown workloads, budgets outside [1, maxInstBudget], knobs out of
+ * range, a bad cache hierarchy, undeclared scheme params, and
  * combinations the runner would otherwise silently reinterpret, such
  * as realisticRealloc with a non-DynamicRvp scheme or StaticRvp with
- * loadsOnly=false.
+ * loadsOnly=false. Every tool and the sweep service call it first.
  */
 void validateExperimentConfig(const ExperimentConfig &config);
 

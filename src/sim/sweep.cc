@@ -5,11 +5,14 @@
 #include <chrono>
 #include <cstdio>
 #include <exception>
+#include <iterator>
 #include <optional>
 #include <thread>
 
 #include "common/logging.hh"
+#include "common/parse.hh"
 #include "sim/batchrun.hh"
+#include "vp/registry.hh"
 
 namespace rvp
 {
@@ -73,52 +76,66 @@ memoize(std::mutex &mutex, Map &map, const Key &key,
     return future.get();
 }
 
+// Indexed by enum value: the one name table of each enum.
+constexpr const char *assistNames[] = {"same",    "dead",    "live",
+                                       "dead_lv", "live_lv",
+                                       "dead_lv_stride"};
+static_assert(std::size(assistNames) ==
+              static_cast<std::size_t>(AssistLevel::DeadLvStride) + 1);
+constexpr const char *recoveryNames[] = {"refetch", "reissue",
+                                         "selective"};
+static_assert(std::size(recoveryNames) ==
+              static_cast<std::size_t>(RecoveryPolicy::Selective) + 1);
+
+template <typename Enum, std::size_t N>
+Enum
+valueNamed(const char *const (&names)[N], const char *field,
+           const std::string &name)
+{
+    for (std::size_t i = 0; i < N; ++i)
+        if (name == names[i])
+            return static_cast<Enum>(i);
+    std::string known;
+    for (const char *n : names)
+        known += (known.empty() ? "" : "|") + std::string(n);
+    throwConfigError("%s '%s' is not one of %s", field, name.c_str(),
+                     known.c_str());
+}
+
 } // namespace
 
 const char *
 schemeName(VpScheme scheme)
 {
-    switch (scheme) {
-      case VpScheme::None:
-        return "none";
-      case VpScheme::Lvp:
-        return "lvp";
-      case VpScheme::StaticRvp:
-        return "srvp";
-      case VpScheme::DynamicRvp:
-        return "drvp";
-      case VpScheme::GabbayRp:
-        return "grp";
-      case VpScheme::Stride:
-        return "stride";
-      case VpScheme::Balcvp:
-        return "balcvp";
-      case VpScheme::Fcm:
-        return "fcm";
-      case VpScheme::Oracle:
-        return "oracle";
-    }
-    return "?";
+    // The short spelling ("drvp"): first alias, else the registry name.
+    const VpSchemeInfo *info =
+        PredictorRegistry::instance().find(registryNameOf(scheme));
+    return (info->aliases.empty() ? info->name : info->aliases.front())
+        .c_str();
 }
 
 const char *
 assistName(AssistLevel level)
 {
-    switch (level) {
-      case AssistLevel::Same:
-        return "same";
-      case AssistLevel::Dead:
-        return "dead";
-      case AssistLevel::Live:
-        return "live";
-      case AssistLevel::DeadLv:
-        return "dead_lv";
-      case AssistLevel::LiveLv:
-        return "live_lv";
-      case AssistLevel::DeadLvStride:
-        return "dead_lv_stride";
-    }
-    return "?";
+    return assistNames[static_cast<std::size_t>(level)];
+}
+
+AssistLevel
+assistForName(const std::string &name)
+{
+    return valueNamed<AssistLevel>(assistNames, "assist", name);
+}
+
+const char *
+recoveryName(RecoveryPolicy policy)
+{
+    return recoveryNames[static_cast<std::size_t>(policy)];
+}
+
+RecoveryPolicy
+recoveryForName(const std::string &name)
+{
+    return valueNamed<RecoveryPolicy>(recoveryNames, "recovery", name);
 }
 
 std::string
@@ -174,83 +191,88 @@ WorkloadCache::stream(const StreamKey &key, std::uint64_t minInsts,
     std::uint64_t budget = streamBudget_.load(std::memory_order_relaxed);
     if (budget == 0)
         return nullptr;
-    // The loop re-enters when a shared build resolves to a stream
-    // truncated below this caller's bound (a smaller-budget run built
-    // it first): the entry is then replaced and rebuilt at ours.
+    // Each call counts one hit or miss. A waiter on an in-flight build
+    // counts the wait, then its outcome; a build truncated below its
+    // bound sends it round once more, to the rebuild branch (a miss).
     for (;;) {
         std::promise<StreamPtr> promise;
         std::shared_future<StreamPtr> future;
-        bool builder = false;
         {
             std::lock_guard<std::mutex> lock(mutex_);
             auto it = streams_.find(key);
-            bool rebuild = it != streams_.end() && it->second.resolved &&
-                           it->second.future.get() &&
-                           !it->second.future.get()->covers(minInsts);
-            if (it == streams_.end() || rebuild) {
-                if (rebuild) {
+            if (it != streams_.end() && !it->second.resolved) {
+                future = it->second.future;   // share the in-flight build
+                ++stats_.streamWaits;
+            } else if (it != streams_.end() &&
+                       (!it->second.stream ||
+                        it->second.stream->covers(minInsts))) {
+                // A null stream is a negative entry: too big for the
+                // budget, so the key always runs live.
+                it->second.lastUse = ++streamStamp_;
+                ++(it->second.stream ? stats_.streamHits
+                                     : stats_.streamMisses);
+                return it->second.stream;
+            } else {
+                if (it != streams_.end()) {
                     // A capture truncated below this run's bound is
                     // useless to it — replace, don't count an evict.
                     stats_.streamBytesResident -= it->second.bytes;
                     streams_.erase(it);
                 }
-                future = promise.get_future().share();
                 StreamEntry entry;
-                entry.future = future;
+                entry.future = promise.get_future().share();
                 streams_.emplace(key, std::move(entry));
                 ++stats_.streamMisses;
-                builder = true;
-            } else {
-                StreamEntry &entry = it->second;
-                if (entry.resolved) {
-                    entry.lastUse = ++streamStamp_;
-                    if (!entry.future.get()) {
-                        // Negative entry: too big for the budget.
-                        ++stats_.streamMisses;
-                        return nullptr;
-                    }
-                    ++stats_.streamHits;
-                    return entry.future.get();
-                }
-                future = entry.future;   // share the in-flight build
-                ++stats_.streamHits;
             }
         }
-        if (builder) {
-            StreamPtr built;
+        if (future.valid()) {
+            StreamPtr got;
             try {
-                built = build(budget);
+                got = future.get();
             } catch (...) {
-                {
-                    std::lock_guard<std::mutex> lock(mutex_);
-                    streams_.erase(key);
-                }
-                promise.set_exception(std::current_exception());
+                std::lock_guard<std::mutex> lock(mutex_);
+                ++stats_.streamMisses;
                 throw;
             }
-            promise.set_value(built);
+            if (got && !got->covers(minInsts))
+                continue;
+            std::lock_guard<std::mutex> lock(mutex_);
+            ++(got ? stats_.streamHits : stats_.streamMisses);
+            return got;
+        }
+        StreamPtr built;
+        try {
+            built = build(budget);
+        } catch (...) {
+            {
+                std::lock_guard<std::mutex> lock(mutex_);
+                streams_.erase(key);
+            }
+            promise.set_exception(std::current_exception());
+            throw;
+        }
+        {
+            // Resolve the entry before publishing the future, so a
+            // waiter whose bound this build does not cover finds it
+            // resolved and rebuilds instead of re-sharing the future.
             std::lock_guard<std::mutex> lock(mutex_);
             auto it = streams_.find(key);
             if (it != streams_.end()) {
                 StreamEntry &entry = it->second;
+                entry.stream = built;
                 entry.resolved = true;
                 entry.lastUse = ++streamStamp_;
                 if (built) {
                     entry.bytes = built->encodedBytes();
-                    entry.insts = built->instCount();
                     stats_.streamBytesResident += entry.bytes;
                     stats_.streamBytesBuilt += entry.bytes;
-                    stats_.streamInstsBuilt += entry.insts;
+                    stats_.streamInstsBuilt += built->instCount();
                     evictStreamsOverBudget(key);
                 }
             }
-            return built;
         }
-        StreamPtr got = future.get();
-        if (!got)
-            return nullptr;
-        if (got->covers(minInsts))
-            return got;
+        promise.set_value(built);
+        return built;
     }
 }
 
@@ -260,7 +282,7 @@ WorkloadCache::evictStreamsOverBudget(const StreamKey &keep)
     while (stats_.streamBytesResident > streamBudget_) {
         auto victim = streams_.end();
         for (auto it = streams_.begin(); it != streams_.end(); ++it) {
-            if (!it->second.resolved || !it->second.future.get() ||
+            if (!it->second.resolved || !it->second.stream ||
                 it->first == keep) {
                 continue;   // pending, negative, or the new arrival
             }
@@ -288,12 +310,9 @@ WorkloadCache::noteCaptureOom(const StreamKey &key)
         streams_.erase(it);
     }
     // Pin the key to live emulation: a resolved-null (negative) entry.
-    std::promise<StreamPtr> promise;
     StreamEntry entry;
-    entry.future = promise.get_future().share();
     entry.resolved = true;
     entry.lastUse = ++streamStamp_;
-    promise.set_value(nullptr);
     streams_.insert_or_assign(key, std::move(entry));
     streamBudget_.store(streamBudget_.load(std::memory_order_relaxed) / 2,
                         std::memory_order_relaxed);
@@ -427,8 +446,6 @@ runSweep(const std::vector<ExperimentConfig> &configs,
     // ---- per-run bookkeeping shared by the solo and batched paths --
 
     auto finishRun = [&](std::size_t i) {
-        if (options.onRunRecord)
-            options.onRunRecord(configs[i], i, results[i], run_seconds[i]);
         if (options.onRunComplete)
             options.onRunComplete(i, results[i], run_seconds[i]);
         std::size_t done = completed.fetch_add(1) + 1;

@@ -40,8 +40,13 @@ namespace rvp
 /** Human-readable scheme name (stable, lowercase). */
 const char *schemeName(VpScheme scheme);
 
-/** Human-readable assist-level name (stable, lowercase). */
+/** Stable lowercase assist-level and recovery-policy names: one
+ *  two-way table per enum for reports, the wire and every tool. The
+ *  lookups throw ConfigError listing the names on an unknown one. */
 const char *assistName(AssistLevel level);
+AssistLevel assistForName(const std::string &name);
+const char *recoveryName(RecoveryPolicy policy);
+RecoveryPolicy recoveryForName(const std::string &name);
 
 /** One-line description of a config for progress lines and reports. */
 std::string describeConfig(const ExperimentConfig &config);
@@ -54,9 +59,13 @@ struct WorkloadCacheStats
     std::uint64_t profileHits = 0;
     std::uint64_t profileMisses = 0;
     /** Committed-stream cache (stream/stream.hh): a hit replays a
-     *  captured stream, a miss runs (and usually captures) live. */
+     *  captured stream, a miss runs (and usually captures) live. Each
+     *  stream() call counts exactly one of the two. */
     std::uint64_t streamHits = 0;
     std::uint64_t streamMisses = 0;
+    /** stream() calls that waited on another caller's in-flight
+     *  capture of the same key (each then counts its hit or miss). */
+    std::uint64_t streamWaits = 0;
     std::uint64_t streamEvicted = 0;
     /** Cached streams that failed header/checksum verification at
      *  cursor attach: each one was dropped from the cache and its run
@@ -161,14 +170,15 @@ class WorkloadCache
     using CompileKey = std::pair<std::string, int>;
     using ProfileKey = std::tuple<std::string, int, std::uint64_t>;
 
-    /** One stream slot: pending (future unset-yet) or resolved. A
-     *  resolved null future value is a negative entry — the stream
-     *  exceeded the budget and the key always runs live. */
+    /** One stream slot: pending (waiters block on `future`) or
+     *  resolved (`stream` set before the future is published). A
+     *  resolved null stream is a negative entry — the stream exceeded
+     *  the budget and the key always runs live. */
     struct StreamEntry
     {
         std::shared_future<StreamPtr> future;
+        StreamPtr stream;
         std::uint64_t bytes = 0;
-        std::uint64_t insts = 0;
         std::uint64_t lastUse = 0;
         bool resolved = false;
     };
@@ -276,23 +286,14 @@ struct SweepOptions
     /**
      * Called after each run reaches its final state (post-retry),
      * from the worker thread that ran it, before the sweep moves on.
-     * sweep_all journals the run here so a killed sweep can resume.
-     * Serialize internally if the callback touches shared state.
+     * sweep_all journals the run here so a killed sweep can resume;
+     * the sweep service looks the run's key up by index and publishes
+     * its record. Serialize internally if the callback touches shared
+     * state.
      */
     std::function<void(std::size_t index, const ExperimentResult &result,
                        double runSeconds)>
         onRunComplete;
-    /**
-     * Like onRunComplete but handed the run's config too, so a
-     * consumer that needs the run's identity (the sweep service
-     * publishing records to its content-addressed store under the
-     * config's run key) does not have to carry an index-to-config
-     * side table. Invoked just before onRunComplete, from the same
-     * worker thread, under the same serialization caveat.
-     */
-    std::function<void(const ExperimentConfig &config, std::size_t index,
-                       const ExperimentResult &result, double runSeconds)>
-        onRunRecord;
 };
 
 /** Per-sweep observability (timings and cache effectiveness). */

@@ -37,6 +37,10 @@ enum class VpScheme
     Oracle,      ///< perfect prediction upper bound
 };
 
+/** Largest predictor table (entries) a config or an `entries` param
+ *  may ask for: 1024x the paper's budget, and within any host's memory. */
+constexpr unsigned maxTableEntries = 1u << 20;
+
 /** Full predictor configuration. */
 struct VpConfig
 {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <ostream>
 #include <sstream>
+#include <tuple>
 
 #include "common/logging.hh"
 #include "vp/balcvp.hh"
@@ -27,8 +28,9 @@ unsigned
 getEntries(const VpParams &params, const std::string &key, unsigned def)
 {
     auto v = params.getU64(key, def);
-    if (v == 0 || v > (1u << 28))
-        throw VpConfigError("param '" + key + "' must be in [1, 2^28]");
+    if (v == 0 || v > maxTableEntries)
+        throw VpConfigError("param '" + key + "' must be in [1, " +
+                            std::to_string(maxTableEntries) + "]");
     return static_cast<unsigned>(v);
 }
 
@@ -39,6 +41,21 @@ getUnsigned(const VpParams &params, const std::string &key, unsigned def)
     if (v > ~0u)
         throw VpConfigError("param '" + key + "' out of range");
     return static_cast<unsigned>(v);
+}
+
+/** The `bits` and `threshold` params of a confidence counter, checked
+ *  here because the counter's constructor asserts on them. */
+std::pair<unsigned, unsigned>
+getCounter(const VpParams &params, unsigned bits, unsigned threshold)
+{
+    bits = getUnsigned(params, "bits", bits);
+    threshold = getUnsigned(params, "threshold", threshold);
+    if (bits < 1 || bits > 16 || threshold > (1u << bits) - 1)
+        throw VpConfigError("vp params bits=" + std::to_string(bits) +
+                            ", threshold=" + std::to_string(threshold) +
+                            ": need bits in [1, 16] and a threshold "
+                            "that fits them");
+    return {bits, threshold};
 }
 
 } // namespace
@@ -69,31 +86,15 @@ VpParams::parse(const std::string &text)
     return params;
 }
 
-const std::string &
-VpParams::get(const std::string &key) const
-{
-    auto it = values_.find(key);
-    if (it == values_.end())
-        throw VpConfigError("missing vp param '" + key + "'");
-    return it->second;
-}
-
 std::uint64_t
 VpParams::getU64(const std::string &key, std::uint64_t def) const
 {
     auto it = values_.find(key);
     if (it == values_.end())
         return def;
-    const std::string &text = it->second;
-    std::size_t used = 0;
     std::uint64_t value = 0;
-    try {
-        value = std::stoull(text, &used, 0);
-    } catch (const std::exception &) {
-        used = 0;
-    }
-    if (used == 0 || used != text.size() || text[0] == '-') {
-        throw VpConfigError("vp param '" + key + "': '" + text +
+    if (!tryParseNumber(it->second, value)) {
+        throw VpConfigError("vp param '" + key + "': '" + it->second +
                             "' is not an unsigned integer");
     }
     return value;
@@ -105,16 +106,9 @@ VpParams::getDouble(const std::string &key, double def) const
     auto it = values_.find(key);
     if (it == values_.end())
         return def;
-    const std::string &text = it->second;
-    std::size_t used = 0;
     double value = 0.0;
-    try {
-        value = std::stod(text, &used);
-    } catch (const std::exception &) {
-        used = 0;
-    }
-    if (used == 0 || used != text.size()) {
-        throw VpConfigError("vp param '" + key + "': '" + text +
+    if (!tryParseNumber(it->second, value)) {
+        throw VpConfigError("vp param '" + key + "': '" + it->second +
                             "' is not a number");
     }
     return value;
@@ -251,10 +245,8 @@ PredictorRegistry::PredictorRegistry()
              LvpConfig lvp;
              lvp.entries =
                  getEntries(params, "entries", base.tableEntries);
-             lvp.counterBits =
-                 getUnsigned(params, "bits", base.counterBits);
-             lvp.threshold =
-                 getUnsigned(params, "threshold", base.threshold);
+             std::tie(lvp.counterBits, lvp.threshold) =
+                 getCounter(params, base.counterBits, base.threshold);
              lvp.tagged = params.getBool("tagged", base.taggedLvp);
              lvp.loadsOnly =
                  params.getBool("loads_only", base.loadsOnly);
@@ -287,10 +279,8 @@ PredictorRegistry::PredictorRegistry()
              ConfidenceConfig conf;
              conf.entries =
                  getEntries(params, "entries", base.tableEntries);
-             conf.counterBits =
-                 getUnsigned(params, "bits", base.counterBits);
-             conf.threshold =
-                 getUnsigned(params, "threshold", base.threshold);
+             std::tie(conf.counterBits, conf.threshold) =
+                 getCounter(params, base.counterBits, base.threshold);
              conf.tagged = params.getBool("tagged", base.taggedRvp);
              return std::make_unique<DynamicRvpPredictor>(
                  base.specs,
@@ -305,9 +295,10 @@ PredictorRegistry::PredictorRegistry()
           {"loads_only", "base", "predict loads only"}},
          [](const VpParams &params, const VpFactoryInput &input) {
              const VpConfig &base = baseOf(input);
+             auto [bits, threshold] =
+                 getCounter(params, base.counterBits, base.threshold);
              return std::make_unique<GabbayRegisterPredictor>(
-                 getUnsigned(params, "bits", base.counterBits),
-                 getUnsigned(params, "threshold", base.threshold),
+                 bits, threshold,
                  params.getBool("loads_only", base.loadsOnly));
          }});
 
@@ -407,10 +398,8 @@ PredictorRegistry::PredictorRegistry()
              conf.valueEntries = getEntries(params, "value_entries",
                                             conf.valueEntries);
              conf.order = getUnsigned(params, "order", conf.order);
-             conf.counterBits =
-                 getUnsigned(params, "bits", conf.counterBits);
-             conf.threshold =
-                 getUnsigned(params, "threshold", conf.threshold);
+             std::tie(conf.counterBits, conf.threshold) =
+                 getCounter(params, conf.counterBits, conf.threshold);
              conf.loadsOnly =
                  params.getBool("loads_only", base.loadsOnly);
              conf.updateDelayInsts = getUnsigned(
@@ -445,44 +434,37 @@ listSchemes(std::ostream &os)
     }
 }
 
+namespace
+{
+
+/** The one VpScheme <-> canonical registry name table. */
+constexpr std::pair<VpScheme, const char *> schemeNames[] = {
+    {VpScheme::None, "none"},         {VpScheme::Lvp, "lvp"},
+    {VpScheme::StaticRvp, "rvp-static"},
+    {VpScheme::DynamicRvp, "rvp-dynamic"},
+    {VpScheme::GabbayRp, "gabbay"},   {VpScheme::Stride, "stride"},
+    {VpScheme::Balcvp, "balcvp"},     {VpScheme::Fcm, "fcm"},
+    {VpScheme::Oracle, "oracle"},
+};
+
+} // namespace
+
 const char *
 registryNameOf(VpScheme scheme)
 {
-    switch (scheme) {
-      case VpScheme::None: return "none";
-      case VpScheme::Lvp: return "lvp";
-      case VpScheme::StaticRvp: return "rvp-static";
-      case VpScheme::DynamicRvp: return "rvp-dynamic";
-      case VpScheme::GabbayRp: return "gabbay";
-      case VpScheme::Stride: return "stride";
-      case VpScheme::Balcvp: return "balcvp";
-      case VpScheme::Fcm: return "fcm";
-      case VpScheme::Oracle: return "oracle";
-    }
+    for (const auto &[s, name] : schemeNames)
+        if (s == scheme)
+            return name;
     panic("unknown vp scheme");
 }
 
 std::optional<VpScheme>
 schemeForName(const std::string &name)
 {
-    const VpSchemeInfo *info = PredictorRegistry::instance().find(name);
-    if (!info)
-        return std::nullopt;
-    static const std::pair<const char *, VpScheme> mapping[] = {
-        {"none", VpScheme::None},
-        {"lvp", VpScheme::Lvp},
-        {"rvp-static", VpScheme::StaticRvp},
-        {"rvp-dynamic", VpScheme::DynamicRvp},
-        {"gabbay", VpScheme::GabbayRp},
-        {"stride", VpScheme::Stride},
-        {"balcvp", VpScheme::Balcvp},
-        {"fcm", VpScheme::Fcm},
-        {"oracle", VpScheme::Oracle},
-    };
-    for (const auto &[canonical, scheme] : mapping) {
-        if (info->name == canonical)
-            return scheme;
-    }
+    if (const VpSchemeInfo *info = PredictorRegistry::instance().find(name))
+        for (const auto &[scheme, canonical] : schemeNames)
+            if (info->name == canonical)
+                return scheme;
     return std::nullopt;
 }
 

@@ -23,10 +23,10 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "common/parse.hh"
 #include "vp/oracle.hh"
 
 namespace rvp
@@ -34,17 +34,14 @@ namespace rvp
 
 /**
  * A predictor-configuration error: unknown scheme name, malformed
- * param bag, unaccepted param key, or an out-of-range value. Thrown
- * (not asserted) so CLIs can report it and the conformance tests can
- * exercise the failure paths without dying.
+ * param bag, unaccepted param key, or an out-of-range value. A
+ * ConfigError, so tools report it like any other invalid input and
+ * the conformance tests can exercise the failure paths without dying.
  */
-class VpConfigError : public std::runtime_error
+class VpConfigError : public ConfigError
 {
   public:
-    explicit VpConfigError(const std::string &what)
-        : std::runtime_error(what)
-    {
-    }
+    explicit VpConfigError(const std::string &what) : ConfigError(what) {}
 };
 
 /**
@@ -63,13 +60,10 @@ class VpParams
     static VpParams parse(const std::string &text);
 
     bool empty() const { return values_.empty(); }
-    bool has(const std::string &key) const { return values_.count(key); }
-
-    /** Raw value of key; throws VpConfigError when absent. */
-    const std::string &get(const std::string &key) const;
 
     /** Typed getters returning `def` when the key is absent and
-     *  throwing VpConfigError on a malformed value. */
+     *  throwing VpConfigError on a value parseNumber rejects
+     *  (common/parse.hh: decimal only, so "010" is ten). */
     std::uint64_t getU64(const std::string &key, std::uint64_t def) const;
     double getDouble(const std::string &key, double def) const;
     /** Accepts 0/1/true/false/on/off. */

@@ -11,35 +11,31 @@ const std::vector<WorkloadSpec> &
 allWorkloads()
 {
     static const std::vector<WorkloadSpec> specs = {
-        {"go", false},      {"ijpeg", false},   {"li", false},
-        {"m88ksim", false}, {"perl", false},    {"hydro2d", true},
-        {"mgrid", true},    {"su2cor", true},   {"turb3d", true},
+        {"go", false, buildGo},           {"ijpeg", false, buildIjpeg},
+        {"li", false, buildLi},           {"m88ksim", false, buildM88ksim},
+        {"perl", false, buildPerl},       {"hydro2d", true, buildHydro2d},
+        {"mgrid", true, buildMgrid},      {"su2cor", true, buildSu2cor},
+        {"turb3d", true, buildTurb3d},
     };
     return specs;
+}
+
+const WorkloadSpec *
+findWorkload(const std::string &name)
+{
+    for (const WorkloadSpec &spec : allWorkloads())
+        if (spec.name == name)
+            return &spec;
+    return nullptr;
 }
 
 BuiltWorkload
 buildWorkload(const std::string &name, InputSet input)
 {
-    if (name == "go")
-        return buildGo(input);
-    if (name == "ijpeg")
-        return buildIjpeg(input);
-    if (name == "li")
-        return buildLi(input);
-    if (name == "m88ksim")
-        return buildM88ksim(input);
-    if (name == "perl")
-        return buildPerl(input);
-    if (name == "hydro2d")
-        return buildHydro2d(input);
-    if (name == "mgrid")
-        return buildMgrid(input);
-    if (name == "su2cor")
-        return buildSu2cor(input);
-    if (name == "turb3d")
-        return buildTurb3d(input);
-    fatal("unknown workload '%s'", name.c_str());
+    const WorkloadSpec *spec = findWorkload(name);
+    if (!spec)
+        fatal("unknown workload '%s'", name.c_str());
+    return spec->build(input);
 }
 
 std::uint64_t

@@ -59,10 +59,14 @@ struct WorkloadSpec
 {
     std::string name;
     bool isFloatingPoint;
+    BuiltWorkload (*build)(InputSet input);
 };
 
 /** All nine workloads, in the paper's presentation order. */
 const std::vector<WorkloadSpec> &allWorkloads();
+
+/** The workload called name, or null when there is none. */
+const WorkloadSpec *findWorkload(const std::string &name);
 
 /** Build a workload by name; panics on unknown names. */
 BuiltWorkload buildWorkload(const std::string &name, InputSet input);

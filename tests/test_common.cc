@@ -6,13 +6,19 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdio>
+#include <limits>
 #include <set>
 #include <sstream>
 
 #include "common/bits.hh"
 #include "common/counters.hh"
+#include "common/parse.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
+#include "config_error.hh"
 
 namespace rvp
 {
@@ -407,6 +413,70 @@ TEST(Bits, PowerOf2AndLog)
     EXPECT_EQ(floorLog2(1), 0u);
     EXPECT_EQ(floorLog2(1024), 10u);
     EXPECT_EQ(floorLog2(1023), 9u);
+}
+
+
+TEST(Parse, UnsignedIsDecimalDigitsThatFitTheField)
+{
+    EXPECT_EQ(parseNumber<std::uint64_t>("0", "n"), 0u);
+    EXPECT_EQ(parseNumber<std::uint64_t>("010", "n"), 10u);
+    EXPECT_EQ(parseNumber<std::uint64_t>("18446744073709551615", "n"),
+              18446744073709551615ull);
+    EXPECT_EQ(parseNumber<unsigned>("4294967295", "n"), 4294967295u);
+    for (const char *bad :
+         {"", " 1", "1 ", "+1", "-1", "-0", "0x10", "1e3", "1.0", "abc",
+          "12abc", "18446744073709551616"}) {
+        std::uint64_t out = 7;
+        EXPECT_FALSE(tryParseNumber(bad, out)) << "'" << bad << "'";
+        EXPECT_EQ(out, 7u) << "a failed parse leaves the field alone";
+    }
+    // Each value must fit its own field: 2^32 + 1 never becomes 1.
+    unsigned narrow = 0;
+    EXPECT_FALSE(tryParseNumber("4294967297", narrow));
+    EXPECT_CONFIG_ERROR(parseNumber<unsigned>("4294967297", "--jobs"),
+                        "--jobs: '4294967297' is not an unsigned decimal "
+                        "integer in [0, 4294967295]");
+}
+
+TEST(Parse, DoublesAreFiniteDecimals)
+{
+    EXPECT_EQ(parseNumber<double>("0.8", "x"), 0.8);
+    EXPECT_EQ(parseNumber<double>("-2.5e-3", "x"), -2.5e-3);
+    EXPECT_EQ(parseNumber<double>(".5", "x"), 0.5);
+    EXPECT_EQ(parseNumber<double>("1e+20", "x"), 1e20);
+    for (const char *bad : {"", "nan", "inf", "-inf", "1e400", "0x1p3",
+                            "+1", " 1", "1 ", "1e", "1.2.3", "--1"}) {
+        double out = 7.0;
+        EXPECT_FALSE(tryParseNumber(bad, out)) << "'" << bad << "'";
+    }
+    EXPECT_CONFIG_ERROR(parseNumber<double>("nan", "--threshold"),
+                        "--threshold: 'nan' is not a finite decimal");
+}
+
+TEST(Parse, PercentSeventeenGReadsBackBitExactly)
+{
+    // Journals and the wire write doubles as %.17g (jsonNum); every
+    // finite bit pattern, subnormals included, must read back as is.
+    auto roundTrips = [](double value) {
+        char text[40];
+        std::snprintf(text, sizeof(text), "%.17g", value);
+        double back = 0.0;
+        return tryParseNumber(text, back) &&
+               std::bit_cast<std::uint64_t>(back) ==
+                   std::bit_cast<std::uint64_t>(value);
+    };
+    for (double v : {0.0, -0.0, 0.1 + 0.2, 1.0 / 3.0,
+                     std::numeric_limits<double>::max(),
+                     std::numeric_limits<double>::lowest(),
+                     std::numeric_limits<double>::min(),
+                     std::numeric_limits<double>::denorm_min()})
+        EXPECT_TRUE(roundTrips(v)) << v;
+    Rng rng(29);
+    for (int i = 0; i < 20'000; ++i) {
+        double v = std::bit_cast<double>(rng.next());
+        if (std::isfinite(v))
+            EXPECT_TRUE(roundTrips(v)) << std::hexfloat << v;
+    }
 }
 
 } // namespace

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "config_error.hh"
 #include "mem/cache.hh"
 #include "mem/hierarchy.hh"
 
@@ -136,37 +137,37 @@ TEST(CacheGeometryValidation, RejectsNonPowerOfTwoLine)
     // be indexed with a shift and used to silently misplace lines.
     EXPECT_DEATH(Cache({"bad", 32 * 1024, 4, 48}),
                  "not a power of two");
-    EXPECT_DEATH(validateCacheConfig({"bad", 32 * 1024, 4, 48}),
-                 "not a power of two");
+    EXPECT_CONFIG_ERROR(validateCacheConfig({"bad", 32 * 1024, 4, 48}),
+                        "not a power of two");
 }
 
 TEST(CacheGeometryValidation, RejectsSizeNotMultipleOfWayBytes)
 {
     // 65636 / (4*64) = 256.39...: numSets() would round down to 256
     // sets and the "64KB-ish" cache would silently behave as 64KB.
-    EXPECT_DEATH(validateCacheConfig({"bad", 65636, 4, 64}),
-                 "silently");
+    EXPECT_CONFIG_ERROR(validateCacheConfig({"bad", 65636, 4, 64}),
+                        "silently");
 }
 
 TEST(CacheGeometryValidation, RejectsNonPowerOfTwoSets)
 {
     // 96KB / (4 * 64) = 384 sets: divisible, but the set *mask*
     // (numSets - 1) would alias distinct sets.
-    EXPECT_DEATH(validateCacheConfig({"bad", 96 * 1024, 4, 64}),
-                 "power of two");
+    EXPECT_CONFIG_ERROR(validateCacheConfig({"bad", 96 * 1024, 4, 64}),
+                        "power of two");
 }
 
 TEST(CacheGeometryValidation, RejectsZeroSets)
 {
     // Smaller than one way: numSets() == 0, and the constructor would
     // otherwise allocate no lines and index out of bounds.
-    EXPECT_DEATH(validateCacheConfig({"bad", 64, 4, 64}), "");
+    EXPECT_CONFIG_ERROR(validateCacheConfig({"bad", 64, 4, 64}), "");
 }
 
 TEST(CacheGeometryValidation, RejectsZeroAssoc)
 {
-    EXPECT_DEATH(validateCacheConfig({"bad", 32 * 1024, 0, 64}),
-                 "at least one way");
+    EXPECT_CONFIG_ERROR(validateCacheConfig({"bad", 32 * 1024, 0, 64}),
+                        "at least one way");
 }
 
 TEST(Hierarchy, Table1Latencies)

@@ -703,6 +703,34 @@ TEST(Journal, TornTrailingLineIsSkippedNotFatal)
     EXPECT_EQ(loaded.runs.count("k1"), 1u);
 }
 
+TEST(Journal, AppendAfterATornTailKeepsBothRecords)
+{
+    // A killed sweep left a record torn mid-line. Reopening the
+    // journal for --resume must end that line before appending, or
+    // the new record is spliced onto it and lost on the next load.
+    TempDir dir;
+    std::string path = dir.file("sweep.journal");
+    std::string torn = encodeJournalRecord(sampleRecord("torn", false));
+    {
+        std::ofstream os(path, std::ios::binary);
+        os << "{\"type\": \"sweep\", \"version\": 1, "
+              "\"sweep_hash\": \"feedface00000002\"}\n"
+           << encodeJournalRecord(sampleRecord("k1", false)) << "\n"
+           << torn.substr(0, torn.size() / 2);
+    }
+    {
+        RunJournal journal(path);
+        ASSERT_TRUE(journal.ok());
+        journal.append(sampleRecord("k2", false));
+    }
+    RunJournal::Loaded loaded = RunJournal::load(path);
+    EXPECT_EQ(loaded.sweepHash, "feedface00000002");
+    EXPECT_EQ(loaded.skippedLines, 1u);
+    ASSERT_EQ(loaded.runs.size(), 2u);
+    EXPECT_EQ(loaded.runs.count("k1"), 1u);
+    EXPECT_EQ(loaded.runs.count("k2"), 1u);
+}
+
 TEST(Journal, DuplicateKeysKeepTheLaterRecord)
 {
     TempDir dir;
@@ -763,11 +791,14 @@ TEST(JournalMerge, MismatchedSweepHashRefusesTheMerge)
 // ---------------------------------------------------------------------
 
 pid_t
-spawnSweepAll(const std::vector<std::string> &args)
+spawnSweepAll(const std::vector<std::string> &args,
+              const std::string &cwd = "")
 {
     pid_t pid = fork();
     if (pid != 0)
         return pid;
+    if (!cwd.empty() && chdir(cwd.c_str()) != 0)
+        _exit(126);
     // Child: silence it and exec the real binary.
     int devnull = open("/dev/null", O_WRONLY);
     if (devnull >= 0) {
@@ -1029,12 +1060,29 @@ TEST(SweepAllBenchRow, CarriesJobsThroughputAndPeakRss)
     ASSERT_FALSE(row.empty());
     ASSERT_EQ(row.find('\n'), row.size() - 1) << row;
     row.pop_back();
-    std::map<std::string, JsonValue> obj = parseJsonLine(row);
-    EXPECT_EQ(jsonField(obj, "jobs").u64(), 2u) << row;
-    EXPECT_GT(jsonField(obj, "wall_kips").num(), 0.0) << row;
-    EXPECT_GT(jsonField(obj, "aggregate_kips").num(), 0.0) << row;
-    EXPECT_GT(jsonField(obj, "peak_rss_mb").num(), 0.0) << row;
+    JsonObject obj = parseJsonLine(row);
+    EXPECT_EQ(jsonGet<unsigned>(obj, "jobs"), 2u) << row;
+    EXPECT_GT(jsonGet<double>(obj, "wall_kips"), 0.0) << row;
+    EXPECT_GT(jsonGet<double>(obj, "aggregate_kips"), 0.0) << row;
+    EXPECT_GT(jsonGet<double>(obj, "peak_rss_mb"), 0.0) << row;
     EXPECT_EQ(obj.count("workers"), 0u) << row;
+}
+
+TEST(SweepAllBenchRow, NoRowUnlessAsked)
+{
+    // Run from a directory of its own without --bench-out: a sweep
+    // started from the repository root must not append to the
+    // committed trail there.
+    TempDir dir;
+    std::string out = dir.file("results.json");
+    std::vector<std::string> args{
+        "--workloads", "go",    "--figures",       "fig05",
+        "--insts",     "12000", "--profile-insts", "12000",
+        "--jobs",      "2",     "--quiet",         "--out",
+        out};
+    ASSERT_EQ(waitExit(spawnSweepAll(args, dir.path)), 0);
+    EXPECT_TRUE(std::filesystem::exists(out));
+    EXPECT_FALSE(std::filesystem::exists(dir.file("BENCH_perf.json")));
 }
 
 TEST(SweepAllFailures, DeadlineFailuresExitNonzeroAndResumeRecovers)

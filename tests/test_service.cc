@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "common/framing.hh"
+#include "config_error.hh"
 #include "service/client.hh"
 #include "service/protocol.hh"
 #include "service/store.hh"
@@ -384,40 +385,129 @@ TEST(ServiceProtocol, SchemeAliasesShareAKeyAndKnobsChangeIt)
     EXPECT_EQ(runSpecKey(a).size(), 16u);
 }
 
+TEST(ServiceProtocol, StoreFormatIsFrozen)
+{
+    // The canonical text and its key are the store format: a changed
+    // key orphans every stored entry. These literals were recorded
+    // before the config validation moved into one path.
+    RunSpec lvp;
+    lvp.workload = "go";
+    lvp.scheme = "lvp";
+    EXPECT_EQ(canonicalSpecText(lvp),
+              "rvp-spec-v1|go|lvp|same|selective|loads|400000|300000|"
+              "0.80000000000000004|1024|7|");
+    EXPECT_EQ(runSpecKey(lvp), "5fc8c3310d15784e");
+
+    RunSpec drvp = lvp;
+    drvp.scheme = "drvp";
+    drvp.vpParams = "hist=3";
+    EXPECT_EQ(canonicalSpecText(drvp),
+              "rvp-spec-v1|go|rvp-dynamic|same|selective|loads|400000|"
+              "300000|0.80000000000000004|1024|7|hist=3");
+    EXPECT_EQ(runSpecKey(drvp), "cbc107814030cfa8");
+    EXPECT_EQ(encodeSubmitRequest("pin", {drvp}),
+              "{\"type\": \"submit\", \"id\": \"pin\", \"runs\": "
+              "[{\"workload\": \"go\", \"scheme\": \"drvp\", "
+              "\"assist\": \"same\", \"recovery\": \"selective\", "
+              "\"loads_only\": true, \"insts\": 400000, "
+              "\"profile_insts\": 300000, \"profile_threshold\": "
+              "0.80000000000000004, \"table_entries\": 1024, "
+              "\"counter_threshold\": 7, \"vp_params\": \"hist=3\"}]}");
+
+    RunSpec fig04 = lvp;
+    fig04.profileThreshold = 0.9;
+    EXPECT_EQ(canonicalSpecText(fig04),
+              "rvp-spec-v1|go|lvp|same|selective|loads|400000|300000|"
+              "0.90000000000000002|1024|7|");
+    EXPECT_EQ(runSpecKey(fig04), "b750b93b3afc3a59");
+}
+
 TEST(ServiceProtocol, ValidationRejectsBadSpecsWithTypedErrors)
 {
-    auto expectInvalid = [](RunSpec spec, const char *why) {
-        try {
-            validateRunSpec(spec);
-            FAIL() << "accepted invalid spec: " << why;
-        } catch (const ServiceError &e) {
-            EXPECT_EQ(e.code(), ServiceError::Code::Validation) << why;
-        }
+    // The daemon's whole check of a spec: build its config, validate.
+    auto check = [](const RunSpec &spec) {
+        ExperimentConfig config = configForSpec(spec);
+        validateExperimentConfig(config);
+        return config;
+    };
+    auto expectInvalid = [&](RunSpec spec, const char *field) {
+        EXPECT_CONFIG_ERROR(check(spec), field);
     };
 
-    expectInvalid(svcSpec("no_such_workload", "lvp"), "unknown workload");
-    expectInvalid(svcSpec("go", "no_such_scheme"), "unknown scheme");
+    expectInvalid(svcSpec("no_such_workload", "lvp"), "workload");
+    expectInvalid(svcSpec("go", "no_such_scheme"), "scheme");
     RunSpec badAssist = svcSpec("go", "lvp");
     badAssist.assist = "psychic";
-    expectInvalid(badAssist, "unknown assist");
+    expectInvalid(badAssist, "assist 'psychic'");
     RunSpec badRecovery = svcSpec("go", "lvp");
     badRecovery.recovery = "wish";
-    expectInvalid(badRecovery, "unknown recovery");
+    expectInvalid(badRecovery, "recovery 'wish'");
     RunSpec zeroInsts = svcSpec("go", "lvp");
     zeroInsts.insts = 0;
-    expectInvalid(zeroInsts, "zero insts");
+    expectInvalid(zeroInsts, "insts 0");
+    RunSpec zeroProfile = svcSpec("go", "lvp");
+    zeroProfile.profileInsts = 0;
+    expectInvalid(zeroProfile, "profile_insts 0");
+    RunSpec hugeInsts = svcSpec("go", "lvp", maxInstBudget + 1);
+    expectInvalid(hugeInsts, "insts 1099511627777");
     RunSpec badThreshold = svcSpec("go", "lvp");
     badThreshold.profileThreshold = 1.5;
-    expectInvalid(badThreshold, "profile threshold > 1");
+    expectInvalid(badThreshold, "profile_threshold");
     RunSpec badCounter = svcSpec("go", "lvp");
     badCounter.counterThreshold = 8;
-    expectInvalid(badCounter, "counter threshold > 7");
+    expectInvalid(badCounter, "counter_threshold");
+    RunSpec badTable = svcSpec("go", "lvp");
+    badTable.tableEntries = maxTableEntries + 1;
+    expectInvalid(badTable, "table_entries");
+    RunSpec staticAll = svcSpec("go", "srvp");
+    staticAll.loadsOnly = false;
+    expectInvalid(staticAll, "loads_only");
     RunSpec badParams = svcSpec("go", "drvp");
     badParams.vpParams = "definitely_not_a_param=1";
-    expectInvalid(badParams, "unknown vp param");
+    expectInvalid(badParams, "definitely_not_a_param");
 
-    EXPECT_NO_THROW(validateRunSpec(svcSpec("go", "lvp")));
-    EXPECT_NO_THROW(validateRunSpec(svcSpec("go", "rvp-dynamic")));
+    EXPECT_NO_THROW(check(svcSpec("go", "lvp")));
+    ExperimentConfig config =
+        check(svcSpec("go", "rvp-dynamic"));
+    EXPECT_EQ(config.scheme, VpScheme::DynamicRvp);
+    EXPECT_EQ(config.core.maxInsts, 12'000u);
+}
+
+TEST(ServiceProtocol, SpecFieldsAreDecodedWithCheckedKindsAndNumbers)
+{
+    auto submit = [](const std::string &field, const std::string &value) {
+        return "{\"type\": \"submit\", \"id\": \"s\", \"runs\": "
+               "[{\"workload\": \"go\", \"scheme\": \"lvp\", \"" +
+               field + "\": " + value + "}]}";
+    };
+    auto expectRejected = [&](const std::string &field,
+                              const std::string &value) {
+        try {
+            decodeClientRequest(submit(field, value));
+            ADD_FAILURE() << field << ": " << value << " was accepted";
+        } catch (const ServiceError &e) {
+            EXPECT_EQ(e.code(), ServiceError::Code::Validation)
+                << field << ": " << value;
+            EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+                << e.what();
+        }
+    };
+    expectRejected("insts", "-5");
+    expectRejected("insts", "18446744073709551616");
+    expectRejected("insts", "1.5");
+    expectRejected("table_entries", "4294967297");
+    expectRejected("counter_threshold", "-1");
+    expectRejected("loads_only", "\"true\"");
+    expectRejected("profile_threshold", "\"0.9\"");
+    expectRejected("assist", "3");
+
+    ClientRequest req = decodeClientRequest(
+        submit("insts", "18446744073709551615"));
+    ASSERT_EQ(req.runs.size(), 1u);
+    EXPECT_EQ(req.runs[0].insts, 18446744073709551615ull)
+        << "fits the field; the validator, not the decoder, bounds it";
+    req = decodeClientRequest(submit("loads_only", "false"));
+    EXPECT_FALSE(req.runs[0].loadsOnly);
 }
 
 // ---------------------------------------------------------------------
@@ -695,6 +785,58 @@ TEST(ServiceEndToEnd, OversizedFrameGetsTypedErrorBeforePayloadLands)
     EXPECT_EQ(msg->code, ServiceError::Code::Oversized);
     EXPECT_EQ(client.recv(), std::nullopt);
     EXPECT_TRUE(queryStatus(sock).has_value());
+}
+
+TEST(ServiceEndToEnd, BadSpecValuesGetValidationFramesAndServingGoesOn)
+{
+    TempDir dir;
+    std::string sock = dir.file("svc.sock");
+    DaemonGuard daemon(startDaemon(sock, dir.file("store.jsonl"),
+                                   {"--jobs", "1", "--idle", "600"}));
+    ASSERT_GT(daemon.pid, 0);
+
+    ServiceClient client;
+    ASSERT_TRUE(connectRetry(client, sock)) << client.lastError();
+    // Raw submit frames: a negative and a wrapped budget (each used to
+    // abort the daemon in the core), a table size that does not fit
+    // its field, and a boolean sent as a string.
+    const char *badSpecs[] = {
+        "\"insts\": -5",
+        "\"insts\": 18446744073709551615",
+        "\"insts\": 12000, \"table_entries\": 4294967297",
+        "\"insts\": 12000, \"loads_only\": \"true\"",
+    };
+    for (const char *fields : badSpecs) {
+        ASSERT_TRUE(client.send(
+            std::string("{\"type\": \"submit\", \"id\": \"bad\", "
+                        "\"runs\": [{\"workload\": \"go\", "
+                        "\"scheme\": \"lvp\", \"profile_insts\": "
+                        "12000, ") +
+            fields + "}]}"));
+        std::optional<ServerMsg> msg = client.recv();
+        ASSERT_TRUE(msg.has_value()) << fields << ": " << client.lastError();
+        ASSERT_EQ(msg->kind, ServerMsg::Kind::Error) << fields;
+        EXPECT_EQ(msg->code, ServiceError::Code::Validation)
+            << fields << ": " << msg->message;
+    }
+
+    // The same daemon, on the same connection, still serves a valid
+    // submit and drains cleanly.
+    RunSpec good = svcSpec("go", "lvp");
+    ASSERT_TRUE(client.send(encodeSubmitRequest("good", {good})));
+    std::optional<ServerMsg> res = client.recv();
+    ASSERT_TRUE(res.has_value()) << client.lastError();
+    ASSERT_EQ(res->kind, ServerMsg::Kind::Result) << res->message;
+    EXPECT_EQ(res->key, runSpecKey(good));
+    std::optional<JournalRecord> rec = parseJournalRunLine(res->record);
+    ASSERT_TRUE(rec.has_value());
+    EXPECT_FALSE(rec->result.failed) << rec->result.error;
+
+    ASSERT_TRUE(client.send(encodeShutdownRequest()));
+    std::optional<ServerMsg> bye = client.recv();
+    ASSERT_TRUE(bye.has_value()) << client.lastError();
+    EXPECT_EQ(bye->kind, ServerMsg::Kind::Bye);
+    EXPECT_EQ(daemon.wait(), 0);
 }
 
 TEST(ServiceEndToEnd, SlowLorisClientHitsIdleDeadline)

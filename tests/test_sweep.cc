@@ -12,7 +12,9 @@
 
 #include <atomic>
 #include <stdexcept>
+#include <thread>
 
+#include "config_error.hh"
 #include "sim/runner.hh"
 #include "sim/sweep.hh"
 #include "uarch/core.hh"
@@ -275,7 +277,7 @@ TEST(SweepValidationDeathTest, ReallocRequiresDynamicRvp)
     ExperimentConfig config = smallConfig("go");
     config.realisticRealloc = true;
     config.scheme = VpScheme::Lvp;
-    EXPECT_DEATH(validateExperimentConfig(config), "re-colours");
+    EXPECT_CONFIG_ERROR(validateExperimentConfig(config), "re-colours");
 }
 
 TEST(SweepValidationDeathTest, StaticRvpIsLoadsOnly)
@@ -283,27 +285,43 @@ TEST(SweepValidationDeathTest, StaticRvpIsLoadsOnly)
     ExperimentConfig config = smallConfig("go");
     config.scheme = VpScheme::StaticRvp;
     config.loadsOnly = false;
-    EXPECT_DEATH(validateExperimentConfig(config),
-                 "loadsOnly=false is contradictory");
+    EXPECT_CONFIG_ERROR(validateExperimentConfig(config),
+                        "loadsOnly=false is contradictory");
 }
 
 TEST(SweepValidationDeathTest, UnknownWorkloadAndBadKnobs)
 {
     ExperimentConfig config = smallConfig("go");
     config.workload = "nonesuch";
-    EXPECT_DEATH(validateExperimentConfig(config), "unknown workload");
+    EXPECT_CONFIG_ERROR(validateExperimentConfig(config), "unknown workload");
 
     config = smallConfig("go");
     config.counterThreshold = 9;
-    EXPECT_DEATH(validateExperimentConfig(config), "3-bit");
+    EXPECT_CONFIG_ERROR(validateExperimentConfig(config), "3-bit");
 
     config = smallConfig("go");
     config.tableEntries = 0;
-    EXPECT_DEATH(validateExperimentConfig(config), "at least one entry");
+    EXPECT_CONFIG_ERROR(validateExperimentConfig(config), "at least one entry");
 
     config = smallConfig("go");
     config.profileThreshold = 1.5;
-    EXPECT_DEATH(validateExperimentConfig(config), "not a rate");
+    EXPECT_CONFIG_ERROR(validateExperimentConfig(config), "not a rate");
+
+    // Budgets are in [1, 2^40], so the replay bound cannot wrap; the
+    // table is bounded so a request cannot exhaust host memory.
+    config = smallConfig("go");
+    config.core.maxInsts = 0;
+    EXPECT_CONFIG_ERROR(validateExperimentConfig(config), "insts 0");
+    config.core.maxInsts = maxInstBudget + 1;
+    EXPECT_CONFIG_ERROR(validateExperimentConfig(config), "insts 1099");
+    config.core.maxInsts = maxInstBudget;
+    EXPECT_NO_THROW(validateExperimentConfig(config));
+    config = smallConfig("go");
+    config.profileInsts = 0;
+    EXPECT_CONFIG_ERROR(validateExperimentConfig(config), "profile_insts");
+    config = smallConfig("go");
+    config.tableEntries = maxTableEntries + 1;
+    EXPECT_CONFIG_ERROR(validateExperimentConfig(config), "table_entries");
 }
 
 /**
@@ -508,11 +526,11 @@ TEST(SweepValidationDeathTest, BadCacheGeometryIsRejectedUpFront)
     // a smaller cache than configured.
     ExperimentConfig config = smallConfig("go");
     config.core.mem.l1d.sizeBytes = 65'636;   // not sets*assoc*line
-    EXPECT_DEATH(validateExperimentConfig(config), "silently");
+    EXPECT_CONFIG_ERROR(validateExperimentConfig(config), "silently");
 
     config = smallConfig("go");
     config.core.mem.l2.lineBytes = 48;
-    EXPECT_DEATH(validateExperimentConfig(config), "power of two");
+    EXPECT_CONFIG_ERROR(validateExperimentConfig(config), "power of two");
 }
 
 TEST(SweepValidationDeathTest, TracingNeedsAPositiveSampleInterval)
@@ -520,7 +538,7 @@ TEST(SweepValidationDeathTest, TracingNeedsAPositiveSampleInterval)
     ExperimentConfig config = smallConfig("go");
     config.traceOut = "/tmp/x.trace.json";
     config.traceSample = 0;
-    EXPECT_DEATH(validateExperimentConfig(config), "traceSample");
+    EXPECT_CONFIG_ERROR(validateExperimentConfig(config), "traceSample");
 }
 
 TEST(Sweep, NegativeStreamEntryPinsSmallerCallersToLive)
@@ -570,6 +588,50 @@ TEST(Sweep, TruncatedStreamIsRebuiltForALongerRun)
 
     expectIdentical(a, runExperiment(small_cfg), "small vs uncached");
     expectIdentical(b, runExperiment(big_cfg), "big vs uncached");
+}
+
+TEST(Sweep, UncoveredWaiterRebuildsOnceAndCountsOneLookup)
+{
+    // Two callers on one key: the first captures 1,000 instructions
+    // and holds its build until the second is waiting on it; the
+    // second needs 5,000, so it must rebuild once (the entry is
+    // resolved before the shared future is published), never re-share
+    // the finished build in a loop counting hits.
+    WorkloadCache cache;
+    std::shared_ptr<const CompiledWorkload> compiled =
+        cache.compiled("go", InputSet::Ref);
+    StreamKey key;
+    key.workload = "go";
+    std::atomic<int> builds{0};
+    auto capture = [&](std::uint64_t insts, bool holdForWaiter) {
+        return [&, insts, holdForWaiter](std::uint64_t maxBytes) {
+            ++builds;
+            while (holdForWaiter && cache.stats().streamWaits < 1)
+                std::this_thread::yield();
+            return CapturedStream::capture(compiled->low.program, insts,
+                                           maxBytes);
+        };
+    };
+
+    WorkloadCache::StreamPtr small;
+    std::thread first([&] {
+        small = cache.stream(key, 1'000, capture(1'000, true));
+    });
+    while (cache.stats().streamMisses < 1)
+        std::this_thread::yield();
+    WorkloadCache::StreamPtr big =
+        cache.stream(key, 5'000, capture(5'000, false));
+    first.join();
+
+    ASSERT_NE(small, nullptr);
+    ASSERT_NE(big, nullptr);
+    EXPECT_TRUE(small->covers(1'000));
+    EXPECT_TRUE(big->covers(5'000));
+    EXPECT_EQ(builds.load(), 2);
+    WorkloadCacheStats stats = cache.stats();
+    EXPECT_EQ(stats.streamWaits, 1u);
+    EXPECT_EQ(stats.streamHits + stats.streamMisses, 2u);
+    EXPECT_EQ(stats.streamBytesResident, big->encodedBytes());
 }
 
 TEST(Sweep, ParallelForCoversEveryIndexOnce)

@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "config_error.hh"
 #include "sim/runner.hh"
 #include "sim/sweep.hh"
 #include "vp/balcvp.hh"
@@ -184,6 +185,12 @@ TEST(Registry, MalformedParamBagsThrow)
     EXPECT_THROW(VpParams::parse("x=-1").getU64("x", 0), VpConfigError);
     EXPECT_THROW(VpParams::parse("x=maybe").getBool("x", false),
                  VpConfigError);
+    // Decimal only (common/parse.hh): no octal, no hex, no inf/nan.
+    EXPECT_EQ(VpParams::parse("x=010").getU64("x", 0), 10u);
+    EXPECT_THROW(VpParams::parse("x=0x10").getU64("x", 0), VpConfigError);
+    EXPECT_EQ(VpParams::parse("x=0.25").getDouble("x", 0.0), 0.25);
+    EXPECT_THROW(VpParams::parse("x=nan").getDouble("x", 0.0),
+                 VpConfigError);
 }
 
 TEST(Registry, UnknownNamesAndBadParamsThrowFromTheFactory)
@@ -206,6 +213,17 @@ TEST(Registry, UnknownNamesAndBadParamsThrowFromTheFactory)
     // Out-of-range values.
     EXPECT_THROW(reg.make("lvp", VpParams::parse("entries=0"), input),
                  VpConfigError);
+    EXPECT_THROW(reg.make("lvp", VpParams::parse("entries=1048577"), input),
+                 VpConfigError);
+    // Counter widths and thresholds are checked before any counter is
+    // built (its constructor would abort on them).
+    for (const char *scheme : {"lvp", "rvp-dynamic", "gabbay", "fcm"}) {
+        for (const char *bad : {"bits=0", "bits=17", "threshold=8",
+                                "bits=4,threshold=16"})
+            EXPECT_THROW(reg.make(scheme, VpParams::parse(bad), input),
+                         VpConfigError)
+                << scheme << " " << bad;
+    }
     EXPECT_THROW(reg.make("stride",
                           VpParams::parse("predict_threshold=9,conf_max=7"),
                           input),
@@ -480,10 +498,12 @@ TEST(ConfidenceValidation, ZeroEntryGeometriesDie)
     wide.threshold = 8;   // 3-bit counters max out at 7
     EXPECT_DEATH(validateConfidenceConfig(wide), "");
 
+    // Input from outside the program is a typed error, not an abort.
     ExperimentConfig config;
     config.workload = "go";
     config.tableEntries = 0;
-    EXPECT_DEATH(validateExperimentConfig(config), "at least one entry");
+    EXPECT_CONFIG_ERROR(validateExperimentConfig(config),
+                        "at least one entry");
 }
 
 TEST(ConfidenceValidation, ExperimentConfigRejectsBadSchemeParams)

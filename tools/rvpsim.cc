@@ -12,14 +12,14 @@
  */
 
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
+#include <optional>
 #include <string>
 
-#include "compiler/lower.hh"
-#include "compiler/regalloc.hh"
+#include "common/parse.hh"
 #include "isa/disasm.hh"
 #include "sim/runner.hh"
+#include "sim/sweep.hh"
 #include "sim/tables.hh"
 #include "vp/registry.hh"
 
@@ -36,7 +36,8 @@ usage()
         "\n"
         "  --workload NAME     go|ijpeg|li|m88ksim|perl|hydro2d|mgrid|\n"
         "                      su2cor|turb3d           (default: go)\n"
-        "  --scheme NAME       none|lvp|srvp|drvp|grp  (default: none)\n"
+        "  --scheme NAME       none|lvp|srvp|drvp|grp, or any --list-vp\n"
+        "                      name                    (default: none)\n"
         "  --vp NAME[:K=V,..]  pick any registered predictor by name,\n"
         "                      with scheme params (see --list-vp), e.g.\n"
         "                      --vp stride:entries=256,predict_threshold=4\n"
@@ -78,7 +79,7 @@ die(const std::string &message)
 
 int
 main(int argc, char **argv)
-{
+try {
     ExperimentConfig config;
     config.workload = "go";
     bool dump_stats = false;
@@ -90,6 +91,12 @@ main(int argc, char **argv)
             if (i + 1 >= argc)
                 die("missing value for " + arg);
             return argv[++i];
+        };
+        auto scheme = [&](const std::string &name) {
+            std::optional<VpScheme> s = schemeForName(name);
+            if (!s)
+                die("unknown scheme '" + name + "' (see --list-vp)");
+            return *s;
         };
         if (arg == "--help" || arg == "-h") {
             usage();
@@ -107,62 +114,22 @@ main(int argc, char **argv)
         } else if (arg == "--vp") {
             // NAME or NAME:key=value,key=value — the registry grammar.
             std::string s = next();
-            std::string name = s;
             std::size_t colon = s.find(':');
-            if (colon != std::string::npos) {
-                name = s.substr(0, colon);
+            if (colon != std::string::npos)
                 config.vpParams = s.substr(colon + 1);
-            }
-            auto scheme = schemeForName(name);
-            if (!scheme)
-                die("unknown vp scheme '" + name + "' (see --list-vp)");
-            config.scheme = *scheme;
+            config.scheme = scheme(s.substr(0, colon));
         } else if (arg == "--workload") {
             config.workload = next();
         } else if (arg == "--scheme") {
-            std::string s = next();
-            if (s == "none")
-                config.scheme = VpScheme::None;
-            else if (s == "lvp")
-                config.scheme = VpScheme::Lvp;
-            else if (s == "srvp")
-                config.scheme = VpScheme::StaticRvp;
-            else if (s == "drvp")
-                config.scheme = VpScheme::DynamicRvp;
-            else if (s == "grp")
-                config.scheme = VpScheme::GabbayRp;
-            else
-                die("unknown scheme '" + s + "'");
+            config.scheme = scheme(next());
         } else if (arg == "--assist") {
-            std::string s = next();
-            if (s == "same")
-                config.assist = AssistLevel::Same;
-            else if (s == "dead")
-                config.assist = AssistLevel::Dead;
-            else if (s == "live")
-                config.assist = AssistLevel::Live;
-            else if (s == "dead_lv")
-                config.assist = AssistLevel::DeadLv;
-            else if (s == "live_lv")
-                config.assist = AssistLevel::LiveLv;
-            else if (s == "dead_lv_stride")
-                config.assist = AssistLevel::DeadLvStride;
-            else
-                die("unknown assist level '" + s + "'");
+            config.assist = assistForName(next());
         } else if (arg == "--all") {
             config.loadsOnly = false;
         } else if (arg == "--loads") {
             config.loadsOnly = true;
         } else if (arg == "--recovery") {
-            std::string s = next();
-            if (s == "refetch")
-                config.core.recovery = RecoveryPolicy::Refetch;
-            else if (s == "reissue")
-                config.core.recovery = RecoveryPolicy::Reissue;
-            else if (s == "selective")
-                config.core.recovery = RecoveryPolicy::Selective;
-            else
-                die("unknown recovery policy '" + s + "'");
+            config.core.recovery = recoveryForName(next());
         } else if (arg == "--realloc") {
             config.realisticRealloc = true;
         } else if (arg == "--wide") {
@@ -174,26 +141,21 @@ main(int argc, char **argv)
             config.core.maxInsts = insts;
             config.core.collectHist = hist;
         } else if (arg == "--insts") {
-            config.core.maxInsts = std::strtoull(next().c_str(), nullptr,
-                                                 10);
+            config.core.maxInsts = parseNumber<std::uint64_t>(next(), arg);
         } else if (arg == "--profile-insts") {
-            config.profileInsts = std::strtoull(next().c_str(), nullptr,
-                                                10);
+            config.profileInsts = parseNumber<std::uint64_t>(next(), arg);
         } else if (arg == "--threshold") {
-            config.profileThreshold = std::strtod(next().c_str(), nullptr);
+            config.profileThreshold = parseNumber<double>(next(), arg);
         } else if (arg == "--confidence") {
-            config.counterThreshold = static_cast<unsigned>(
-                std::strtoul(next().c_str(), nullptr, 10));
+            config.counterThreshold = parseNumber<unsigned>(next(), arg);
         } else if (arg == "--table") {
-            config.tableEntries = static_cast<unsigned>(
-                std::strtoul(next().c_str(), nullptr, 10));
+            config.tableEntries = parseNumber<unsigned>(next(), arg);
         } else if (arg == "--tagged-rvp") {
             config.taggedRvp = true;
         } else if (arg == "--trace-out") {
             config.traceOut = next();
         } else if (arg == "--trace-sample") {
-            config.traceSample = std::strtoull(next().c_str(), nullptr,
-                                               10);
+            config.traceSample = parseNumber<std::uint64_t>(next(), arg);
         } else if (arg == "--hist") {
             config.core.collectHist = true;
         } else if (arg == "--stats") {
@@ -204,34 +166,17 @@ main(int argc, char **argv)
             die("unknown option '" + arg + "'");
         }
     }
-
-    bool known = false;
-    for (const WorkloadSpec &spec : allWorkloads())
-        known |= spec.name == config.workload;
-    if (!known)
-        die("unknown workload '" + config.workload + "'");
-    if (config.realisticRealloc && config.scheme != VpScheme::DynamicRvp)
-        die("--realloc re-colours the registers for dynamic RVP; "
-            "combine it with --scheme drvp");
-    if (config.scheme == VpScheme::StaticRvp && !config.loadsOnly)
-        die("static RVP marks loads only; --all needs --scheme drvp");
-    if (!config.traceOut.empty() && config.traceSample == 0)
-        die("--trace-sample must be at least 1");
+    validateExperimentConfig(config);
 
     if (disasm_only) {
-        BuiltWorkload wl = buildWorkload(config.workload, InputSet::Ref);
-        AllocResult alloc = allocateRegisters(wl.func, AllocConfig{});
-        LowerResult low = lower(wl.func, alloc);
-        std::cout << disassemble(low.program);
+        std::cout << disassemble(
+            compileWorkload(config.workload, InputSet::Ref).low.program);
         return 0;
     }
 
-    ExperimentResult result;
-    try {
-        result = runExperiment(config);
-    } catch (const VpConfigError &e) {
-        die(e.what());
-    }
+    // The predictor factory checks param values (vp/registry.hh), so
+    // this can still throw a ConfigError before simulating.
+    ExperimentResult result = runExperiment(config);
 
     TextTable table;
     table.setHeader({"metric", "value"});
@@ -254,4 +199,6 @@ main(int argc, char **argv)
         result.stats.dump(std::cout);
     }
     return 0;
+} catch (const ConfigError &e) {
+    die(e.what());
 }

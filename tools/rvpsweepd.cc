@@ -25,6 +25,7 @@
 #include <iostream>
 #include <string>
 
+#include "common/deadline.hh"
 #include "service/daemon.hh"
 
 using namespace rvp;
@@ -54,7 +55,7 @@ usage()
 die(const std::string &msg)
 {
     std::cerr << "rvpsweepd: " << msg << "\n";
-    std::exit(2);
+    std::exit(1);
 }
 
 /** Drain-pipe write end, for the async-signal-safe handler. */
@@ -74,7 +75,7 @@ onTermSignal(int)
 
 int
 main(int argc, char **argv)
-{
+try {
     ServiceOptions opts;
 
     for (int i = 1; i < argc; ++i) {
@@ -92,17 +93,17 @@ main(int argc, char **argv)
         } else if (arg == "--store") {
             opts.storePath = next();
         } else if (arg == "--jobs") {
-            opts.jobs = static_cast<unsigned>(std::stoul(next()));
+            opts.jobs = parseNumber<unsigned>(next(), arg);
         } else if (arg == "--run-deadline") {
-            opts.runDeadlineSeconds = std::stod(next());
+            opts.runDeadlineSeconds = parseSeconds(next(), "--run-deadline");
         } else if (arg == "--idle") {
-            opts.idleSeconds = std::stod(next());
+            opts.idleSeconds = parseSeconds(next(), "--idle");
         } else if (arg == "--request-deadline") {
-            opts.requestSeconds = std::stod(next());
+            opts.requestSeconds = parseSeconds(next(), "--request-deadline");
         } else if (arg == "--max-queued") {
-            opts.maxQueuedRuns = std::stoul(next());
+            opts.maxQueuedRuns = parseNumber<std::size_t>(next(), arg);
         } else if (arg == "--max-frame-bytes") {
-            opts.maxFrameBytes = std::stoul(next());
+            opts.maxFrameBytes = parseNumber<std::size_t>(next(), arg);
         } else if (arg == "--progress") {
             opts.progress = true;
         } else {
@@ -129,4 +130,6 @@ main(int argc, char **argv)
     int rc = service.run();
     std::cerr << "rvpsweepd: drained, exiting\n";
     return rc;
+} catch (const ConfigError &e) {
+    die(e.what());
 }

@@ -29,6 +29,7 @@
 #include <string>
 #include <vector>
 
+#include "common/deadline.hh"
 #include "sim/journal.hh"
 #include "sim/runner.hh"
 #include "sim/sweep.hh"
@@ -44,7 +45,8 @@ struct Options
 {
     unsigned jobs = 0;
     std::string out = "sweep_results.json";
-    std::string benchOut = "BENCH_perf.json";
+    /** Bench-trail path; empty = write no row. */
+    std::string benchOut;
     std::uint64_t insts = 400'000;
     std::uint64_t profileInsts = 300'000;
     std::vector<std::string> workloads;   // empty = all nine
@@ -94,8 +96,8 @@ usage()
         "\n"
         "  --jobs N, -j N      worker threads (default: all cores)\n"
         "  --out FILE          JSON output path (sweep_results.json)\n"
-        "  --bench-out FILE    simulator-throughput report path\n"
-        "                      (BENCH_perf.json)\n"
+        "  --bench-out FILE    append a simulator-throughput row to\n"
+        "                      FILE (e.g. BENCH_perf.json; default: none)\n"
         "  --insts N           committed instructions per run (400000)\n"
         "  --profile-insts N   profiling budget per workload (300000)\n"
         "  --workloads CSV     workload filter (default: all nine)\n"
@@ -185,52 +187,20 @@ peakRssMb()
 std::string
 configHash(const Options &opts)
 {
-    std::uint64_t h = 1469598103934665603ull;
-    auto mix = [&h](const std::string &s) {
-        for (unsigned char c : s) {
-            h ^= c;
-            h *= 1099511628211ull;
-        }
-        h ^= 0xff;   // field separator
-        h *= 1099511628211ull;
-    };
-    mix("insts=" + std::to_string(opts.insts));
-    mix("profile_insts=" + std::to_string(opts.profileInsts));
-    mix("hist=" + std::to_string(opts.hist));
+    std::uint64_t h = fnv1a("insts=" + std::to_string(opts.insts));
+    h = fnv1a("profile_insts=" + std::to_string(opts.profileInsts), h);
+    h = fnv1a("hist=" + std::to_string(opts.hist), h);
     for (const std::string &w : opts.workloads)
-        mix("workload=" + w);
+        h = fnv1a("workload=" + w, h);
     for (const std::string &f : opts.figures)
-        mix("figure=" + f);
-    char buf[17];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(h));
-    return buf;
-}
-
-std::vector<std::string>
-splitCsv(const std::string &s)
-{
-    std::vector<std::string> out;
-    std::size_t pos = 0;
-    while (pos < s.size()) {
-        std::size_t comma = s.find(',', pos);
-        if (comma == std::string::npos)
-            comma = s.size();
-        out.push_back(s.substr(pos, comma - pos));
-        pos = comma + 1;
-    }
-    return out;
+        h = fnv1a("figure=" + f, h);
+    return hashHex(h);
 }
 
 bool
-wants(const Options &opts, const std::string &figure)
+contains(const std::vector<std::string> &names, const std::string &name)
 {
-    if (opts.figures.empty())
-        return true;
-    for (const std::string &f : opts.figures)
-        if (f == figure)
-            return true;
-    return false;
+    return std::find(names.begin(), names.end(), name) != names.end();
 }
 
 /** The per-figure variant lists, mirroring the bench/ binaries. */
@@ -446,7 +416,7 @@ runKey(const GridEntry &entry)
 
 int
 main(int argc, char **argv)
-{
+try {
     Options opts;
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
@@ -455,28 +425,16 @@ main(int argc, char **argv)
                 die("missing value for " + arg);
             return argv[++i];
         };
-        auto nextU64 = [&]() -> std::uint64_t {
-            std::string value = next();
-            try {
-                std::size_t used = 0;
-                std::uint64_t n = std::stoull(value, &used);
-                if (used != value.size())
-                    throw std::invalid_argument(value);
-                return n;
-            } catch (const std::exception &) {
-                die("'" + value + "' is not a number (for " + arg + ")");
-            }
-        };
         if (arg == "--jobs" || arg == "-j")
-            opts.jobs = static_cast<unsigned>(nextU64());
+            opts.jobs = parseNumber<unsigned>(next(), arg);
         else if (arg == "--out")
             opts.out = next();
         else if (arg == "--bench-out")
             opts.benchOut = next();
         else if (arg == "--insts")
-            opts.insts = nextU64();
+            opts.insts = parseNumber<std::uint64_t>(next(), arg);
         else if (arg == "--profile-insts")
-            opts.profileInsts = nextU64();
+            opts.profileInsts = parseNumber<std::uint64_t>(next(), arg);
         else if (arg == "--workloads")
             opts.workloads = splitCsv(next());
         else if (arg == "--figures")
@@ -486,32 +444,27 @@ main(int argc, char **argv)
         else if (arg == "--trace-out")
             opts.tracePrefix = next();
         else if (arg == "--trace-sample")
-            opts.traceSample = nextU64();
+            opts.traceSample = parseNumber<std::uint64_t>(next(), arg);
         else if (arg == "--hist")
             opts.hist = true;
         else if (arg == "--stream-cache-bytes")
-            opts.streamCacheBytes = nextU64();
+            opts.streamCacheBytes = parseNumber<std::uint64_t>(next(), arg);
         else if (arg == "--batch-replay")
             opts.batchReplay = true;
         else if (arg == "--no-batch-replay")
             opts.batchReplay = false;
         else if (arg == "--resume")
             opts.resume = true;
-        else if (arg == "--run-deadline") {
-            std::string value = next();
-            char *end = nullptr;
-            opts.runDeadline = std::strtod(value.c_str(), &end);
-            if (end == value.c_str() || *end != '\0' ||
-                opts.runDeadline < 0.0)
-                die("'" + value + "' is not a valid deadline");
-        } else if (arg == "--keep-going")
+        else if (arg == "--run-deadline")
+            opts.runDeadline = parseSeconds(next(), "--run-deadline");
+        else if (arg == "--keep-going")
             opts.keepGoing = true;
         else if (arg == "--no-journal")
             opts.noJournal = true;
         else if (arg == "--stable-output")
             opts.stableOutput = true;
         else if (arg == "--max-batch-group")
-            opts.maxBatchGroup = static_cast<unsigned>(nextU64());
+            opts.maxBatchGroup = parseNumber<unsigned>(next(), arg);
         else if (arg == "--list-vp") {
             listSchemes(std::cout);
             return 0;
@@ -525,44 +478,32 @@ main(int argc, char **argv)
         }
     }
 
-    if (!opts.tracePrefix.empty() && opts.traceSample == 0)
-        die("--trace-sample must be at least 1");
     if (opts.resume && opts.noJournal)
         die("--resume reads the journal that --no-journal turns off; "
             "drop one of them");
 
-    std::vector<std::string> all_names;
-    for (const WorkloadSpec &spec : allWorkloads())
-        all_names.push_back(spec.name);
     if (opts.workloads.empty()) {
-        opts.workloads = all_names;
-    } else {
-        for (const std::string &w : opts.workloads) {
-            bool known = false;
-            for (const std::string &name : all_names)
-                known |= name == w;
-            if (!known)
-                die("unknown workload '" + w + "'");
-        }
+        for (const WorkloadSpec &spec : allWorkloads())
+            opts.workloads.push_back(spec.name);
     }
+    for (const std::string &w : opts.workloads)
+        if (!findWorkload(w))
+            die("unknown workload '" + w + "'");
 
     // Build the flat grid.
     std::vector<GridEntry> entries;
     for (const FigureSpec &fig : paperGrid()) {
-        // Opt-in figures need an explicit --figures mention; wants()
-        // alone would sweep them into the default "all" set.
+        // Opt-in figures need an explicit --figures mention; they are
+        // never part of the default "all" set.
         bool selected = opts.figures.empty()
                             ? !fig.optIn
-                            : wants(opts, fig.figure);
+                            : contains(opts.figures, fig.figure);
         if (!selected)
             continue;
         const std::vector<std::string> &fig_workloads =
             fig.workloads.empty() ? opts.workloads : fig.workloads;
         for (const std::string &workload : fig_workloads) {
-            bool selected = false;
-            for (const std::string &w : opts.workloads)
-                selected |= w == workload;
-            if (!selected)
+            if (!contains(opts.workloads, workload))
                 continue;
             for (const auto &[name, apply] : fig.variants) {
                 GridEntry entry;
@@ -589,6 +530,9 @@ main(int argc, char **argv)
     }
     if (entries.empty())
         die("the grid is empty (check --figures / --workloads)");
+    // Refuse a bad grid before the journal or any run is touched.
+    for (const GridEntry &entry : entries)
+        validateExperimentConfig(entry.config);
 
     const std::string sweep_hash = configHash(opts);
     const std::string journal_path = opts.out + ".journal";
@@ -731,6 +675,7 @@ main(int argc, char **argv)
            << ", \"profile_misses\": " << report.cache.profileMisses
            << ", \"stream_hits\": " << report.cache.streamHits
            << ", \"stream_misses\": " << report.cache.streamMisses
+           << ", \"stream_waits\": " << report.cache.streamWaits
            << ", \"stream_evicted\": " << report.cache.streamEvicted
            << ", \"stream_integrity_failures\": "
            << report.cache.streamIntegrityFailures
@@ -801,9 +746,10 @@ main(int argc, char **argv)
     if (!writeFileAtomic(opts.out, os.str()))
         die("cannot write output file " + opts.out);
 
-    // Simulator-throughput trail: one labelled JSON row is APPENDED
-    // per invocation (docs/INTERNALS.md, "Simulator performance"), so
-    // the file accumulates a history instead of losing it. Aggregates
+    // Simulator-throughput trail: with --bench-out, one labelled JSON
+    // row is APPENDED per invocation (docs/INTERNALS.md, "Simulator
+    // performance"), so the file accumulates a history instead of
+    // losing it; without it, no row is written anywhere. Aggregates
     // are computed over core-simulation time only, so the number is
     // comparable across cache-hit-rate differences.
     if (!opts.benchOut.empty()) {
@@ -937,4 +883,6 @@ main(int argc, char **argv)
     if (!failures.empty() && !opts.keepGoing)
         return 2;
     return 0;
+} catch (const ConfigError &e) {
+    die(e.what());
 }

@@ -12,8 +12,9 @@
  *       --workloads go,mgrid --schemes lvp,drvp --insts 50000
  *   sweepctl --socket /tmp/rvp.sock shutdown
  *
- * Exit codes: 0 success; 1 a run failed or the daemon rejected the
- * request; 2 could not talk to the daemon at all.
+ * Exit codes: 0 success; 1 bad input (checked before connecting), a
+ * run failed, or the daemon rejected the request; 2 could not talk to
+ * the daemon at all.
  */
 
 #include <unistd.h>
@@ -21,11 +22,11 @@
 #include <cstdlib>
 #include <iostream>
 #include <map>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/deadline.hh"
 #include "service/client.hh"
 #include "service/protocol.hh"
 #include "sim/journal.hh"
@@ -63,23 +64,13 @@ usage()
         "  --out FILE           also write record lines (JSONL) here\n";
 }
 
+/** Exit 2 (cannot talk to the daemon) or, for bad input found
+ *  before connecting, 1. */
 [[noreturn]] void
-die(const std::string &msg)
+die(const std::string &msg, int code = 2)
 {
     std::cerr << "sweepctl: " << msg << "\n";
-    std::exit(2);
-}
-
-std::vector<std::string>
-splitCsv(const std::string &text)
-{
-    std::vector<std::string> out;
-    std::stringstream ss(text);
-    std::string item;
-    while (std::getline(ss, item, ','))
-        if (!item.empty())
-            out.push_back(item);
-    return out;
+    std::exit(code);
 }
 
 struct Options
@@ -171,7 +162,7 @@ int
 runSubmit(const Options &opts)
 {
     if (opts.workloads.empty() || opts.schemes.empty())
-        die("submit needs --workloads and --schemes");
+        die("submit needs --workloads and --schemes", 1);
 
     std::vector<RunSpec> grid;
     for (const std::string &workload : opts.workloads) {
@@ -182,6 +173,10 @@ runSubmit(const Options &opts)
             grid.push_back(spec);
         }
     }
+    // The daemon's own check, run here first: a bad grid exits 1
+    // (main's ConfigError handler) without a connection.
+    for (const RunSpec &spec : grid)
+        validateExperimentConfig(configForSpec(spec));
 
     // Everything still owed a result, by key. A reconnect resubmits
     // exactly these; completed keys come back from the store with the
@@ -301,14 +296,14 @@ runSubmit(const Options &opts)
 
 int
 main(int argc, char **argv)
-{
+try {
     Options opts;
 
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
         auto next = [&]() -> std::string {
             if (i + 1 >= argc)
-                die("missing value for " + arg);
+                die("missing value for " + arg, 1);
             return argv[++i];
         };
         if (arg == "--help" || arg == "-h") {
@@ -317,17 +312,17 @@ main(int argc, char **argv)
         } else if (arg == "--socket") {
             opts.socketPath = next();
         } else if (arg == "--retries") {
-            opts.retries = static_cast<unsigned>(std::stoul(next()));
+            opts.retries = parseNumber<unsigned>(next(), arg);
         } else if (arg == "--backoff") {
-            opts.backoff = std::stod(next());
+            opts.backoff = parseSeconds(next(), "--backoff");
         } else if (arg == "--workloads") {
             opts.workloads = splitCsv(next());
         } else if (arg == "--schemes") {
             opts.schemes = splitCsv(next());
         } else if (arg == "--insts") {
-            opts.base.insts = std::stoull(next());
+            opts.base.insts = parseNumber<std::uint64_t>(next(), arg);
         } else if (arg == "--profile-insts") {
-            opts.base.profileInsts = std::stoull(next());
+            opts.base.profileInsts = parseNumber<std::uint64_t>(next(), arg);
         } else if (arg == "--assist") {
             opts.base.assist = next();
         } else if (arg == "--recovery") {
@@ -335,11 +330,9 @@ main(int argc, char **argv)
         } else if (arg == "--all") {
             opts.base.loadsOnly = false;
         } else if (arg == "--table-entries") {
-            opts.base.tableEntries =
-                static_cast<unsigned>(std::stoul(next()));
+            opts.base.tableEntries = parseNumber<unsigned>(next(), arg);
         } else if (arg == "--counter-threshold") {
-            opts.base.counterThreshold =
-                static_cast<unsigned>(std::stoul(next()));
+            opts.base.counterThreshold = parseNumber<unsigned>(next(), arg);
         } else if (arg == "--vp-params") {
             opts.base.vpParams = next();
         } else if (arg == "--out") {
@@ -347,16 +340,16 @@ main(int argc, char **argv)
         } else if (arg == "status" || arg == "submit" ||
                    arg == "shutdown") {
             if (!opts.command.empty())
-                die("multiple commands given");
+                die("multiple commands given", 1);
             opts.command = arg;
         } else {
-            die("unknown option '" + arg + "' (see --help)");
+            die("unknown option '" + arg + "'", 1);
         }
     }
     if (opts.socketPath.empty())
-        die("--socket is required");
+        die("--socket is required", 1);
     if (opts.command.empty())
-        die("no command given (status | submit | shutdown)");
+        die("no command given (status | submit | shutdown)", 1);
     if (opts.retries == 0)
         opts.retries = 1;
 
@@ -365,4 +358,6 @@ main(int argc, char **argv)
     if (opts.command == "shutdown")
         return runShutdown(opts);
     return runSubmit(opts);
+} catch (const ConfigError &e) {
+    die(e.what(), 1);
 }
