@@ -326,14 +326,17 @@ BM_StreamReplayStep(benchmark::State &state)
 BENCHMARK(BM_StreamReplayStep);
 
 /** Per-consumer step rate of config-batched replay: one shared decode
- *  ring feeding four lockstep consumers (sim/batchrun.hh drives the
+ *  ring feeding Arg lockstep consumers (sim/batchrun.hh drives the
  *  same shape). Compare against BM_StreamReplayStep: the batched step
  *  is a ring copy plus one lazy register write, with the varint
- *  decode amortized across the consumers. */
+ *  decode amortized across the consumers. With one consumer the ring
+ *  only adds a copy to the cursor's decode, which is why the run
+ *  driver gives a partition of one a StreamCursor and a ring only to
+ *  two or more. */
 void
 BM_BatchedReplayStep(benchmark::State &state)
 {
-    constexpr std::size_t consumers = 4;
+    const std::size_t consumers = static_cast<std::size_t>(state.range(0));
     BuiltWorkload wl = buildWorkload("go", InputSet::Ref);
     AllocResult alloc = allocateRegisters(wl.func, AllocConfig{});
     LowerResult low = lower(wl.func, alloc);
@@ -369,7 +372,7 @@ BM_BatchedReplayStep(benchmark::State &state)
     }
     state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_BatchedReplayStep);
+BENCHMARK(BM_BatchedReplayStep)->Arg(1)->Arg(4);
 
 } // namespace
 

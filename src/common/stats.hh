@@ -52,9 +52,10 @@ class StatSet
     /**
      * Interned counter handle. Obtained once from counter(); add() is
      * then lookup-free. The reference stays valid for the lifetime of
-     * the owning StatSet (but is not carried across copies — a copied
-     * StatSet re-interns, and its counters start from the copied
-     * values).
+     * the owning StatSet, and follows it when the set is moved (the
+     * deque's elements do not relocate), but is not carried across
+     * copies — a copied StatSet re-interns, and its counters start
+     * from the copied values.
      */
     class Counter
     {
@@ -136,6 +137,10 @@ class StatSet
     StatSet() = default;
     StatSet(const StatSet &) = default;
     StatSet &operator=(const StatSet &) = default;
+    /** Results travel by move (run driver outcome -> sweep result);
+     *  without these a move would copy every map and deque. */
+    StatSet(StatSet &&) = default;
+    StatSet &operator=(StatSet &&) = default;
 
     /**
      * Intern a dense counter for `name` (register-once: the same name

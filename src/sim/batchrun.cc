@@ -2,12 +2,13 @@
 
 #include <algorithm>
 #include <chrono>
-#include <exception>
 #include <memory>
 #include <new>
 #include <optional>
 
 #include "common/logging.hh"
+#include "sim/sweep.hh"
+#include "stream/batch.hh"
 
 namespace rvp
 {
@@ -23,237 +24,259 @@ secondsSince(std::chrono::steady_clock::time_point start)
         .count();
 }
 
-/** Per-member driver state (beyond the PreparedRun). */
+/** One prepared member (the partition it runs in holds its index). */
 struct Member
 {
     PreparedRun prep;
-    /** This member's wall-clock budget, armed at preparation (shared
-     *  wall clock: co-members' bursts count against it). */
-    std::optional<RunDeadline> deadline;
-    std::unique_ptr<Core> core;
-    BatchedStreamRun::Consumer *consumer = nullptr;
-    unsigned fetchWidth = 1;
-    double hostSeconds = 0.0;
-    bool alive = false;
-    bool coreDone = false;
+    /** The budget armed at preparation (GroupOptions::runDeadline). */
+    std::optional<RunDeadline> armed;
+    /** This attempt's deadline: &*armed, the context's, or null. */
+    const RunDeadline *deadline = nullptr;
 };
+
+/**
+ * The partition's stream, or null to run live. Every member makes one
+ * lookup: the first builds (or finds) the stream at the partition's
+ * largest bound, the others look it up at their own bound. If a
+ * concurrent group's build evicted the entry meanwhile, the
+ * already-built stream is reinstalled instead of re-captured. A
+ * capture that runs out of memory shrinks the budget and pins the key
+ * live; any other capture exception propagates to the caller.
+ */
+WorkloadCache::StreamPtr
+acquireStream(WorkloadCache &cache, std::vector<Member> &members,
+              const std::vector<std::size_t> &part)
+{
+    const Member &lead = members[part.front()];
+    std::uint64_t bound = 0;
+    for (std::size_t j : part)
+        bound = std::max(bound, members[j].prep.minInsts);
+    WorkloadCache::StreamPtr stream;
+    try {
+        stream = cache.stream(
+            lead.prep.key, bound, [&](std::uint64_t max_bytes) {
+                return CapturedStream::capture(lead.prep.timedProgram(),
+                                               bound, max_bytes,
+                                               lead.deadline);
+            });
+    } catch (const std::bad_alloc &) {
+        cache.noteCaptureOom(lead.prep.key);
+        warn("stream capture ran out of memory for %s; shrinking the "
+             "cache budget and running live",
+             lead.prep.config.workload.c_str());
+    }
+    for (std::size_t j : part) {
+        if (j != part.front())
+            cache.stream(members[j].prep.key, members[j].prep.minInsts,
+                         [&](std::uint64_t) { return stream; });
+    }
+    return stream;
+}
+
+/** Run one member on its own core, fed by source (null = live
+ *  emulation); hostSeconds is Core::run(). */
+void
+runAlone(Member &m, InstSource *source, RunOutcome &out)
+{
+    try {
+        Core core(m.prep.config.core, m.prep.timedProgram(),
+                  *m.prep.predictor, m.prep.tracer.get(), source,
+                  m.deadline);
+        auto t0 = std::chrono::steady_clock::now();
+        CoreResult cr = core.run();
+        out.result =
+            finishExperiment(m.prep, std::move(cr), secondsSince(t0));
+    } catch (...) {
+        out.error = std::current_exception();
+    }
+}
+
+/**
+ * Step the partition's cores in lockstep off one decode ring. Each
+ * pass refills the ring as far as the slowest live member allows, then
+ * bursts every member until it would outrun the frontier (or
+ * finishes). The laggard can always burst (ring >> fetchWidth), so
+ * every pass makes progress; once decoding is done, members free-run
+ * to the end. A member's hostSeconds is its own bursts and finalize
+ * plus an even share of the decode time (a run of its own would have
+ * paid a whole decode).
+ */
+void
+runLockstep(BatchedStreamRun &batch, std::vector<Member> &members,
+            const std::vector<std::size_t> &part,
+            std::vector<RunOutcome> &out)
+{
+    struct Lane
+    {
+        std::size_t j;
+        std::unique_ptr<Core> core;
+        BatchedStreamRun::Consumer *consumer;
+        double hostSeconds = 0.0;
+        bool live = true;
+    };
+    std::vector<Lane> lanes;
+    for (std::size_t j : part) {
+        Member &m = members[j];
+        BatchedStreamRun::Consumer *consumer = batch.addConsumer();
+        try {
+            lanes.push_back(
+                {j,
+                 std::make_unique<Core>(m.prep.config.core,
+                                        m.prep.timedProgram(),
+                                        *m.prep.predictor,
+                                        m.prep.tracer.get(), consumer,
+                                        m.deadline),
+                 consumer});
+        } catch (...) {
+            consumer->detach();
+            out[j].error = std::current_exception();
+        }
+    }
+
+    double decode_seconds = 0.0;
+    std::size_t running = lanes.size();
+    while (running > 0) {
+        auto d0 = std::chrono::steady_clock::now();
+        batch.refill();
+        decode_seconds += secondsSince(d0);
+        for (Lane &lane : lanes) {
+            if (!lane.live)
+                continue;
+            unsigned fetch_width =
+                members[lane.j].prep.config.core.fetchWidth;
+            auto t0 = std::chrono::steady_clock::now();
+            try {
+                while (lane.live &&
+                       (batch.decodeDone() ||
+                        lane.consumer->position() + fetch_width <=
+                            batch.decodedCount())) {
+                    lane.live = lane.core->stepCycle();
+                }
+            } catch (...) {
+                lane.live = false;
+                out[lane.j].error = std::current_exception();
+            }
+            lane.hostSeconds += secondsSince(t0);
+            if (!lane.live) {
+                lane.consumer->detach();
+                --running;
+            }
+        }
+    }
+
+    double decode_share =
+        lanes.empty() ? 0.0
+                      : decode_seconds / static_cast<double>(lanes.size());
+    for (Lane &lane : lanes) {
+        if (out[lane.j].error)
+            continue;
+        auto t0 = std::chrono::steady_clock::now();
+        try {
+            CoreResult cr = lane.core->finalize();
+            lane.hostSeconds += secondsSince(t0);
+            out[lane.j].result =
+                finishExperiment(members[lane.j].prep, std::move(cr),
+                                 lane.hostSeconds + decode_share);
+        } catch (...) {
+            out[lane.j].error = std::current_exception();
+        }
+    }
+}
+
+/** Feed and run one partition (members sharing an actual key). */
+void
+runPartition(WorkloadCache *cache, std::vector<Member> &members,
+             const std::vector<std::size_t> &part,
+             std::vector<RunOutcome> &out)
+{
+    const StreamKey &key = members[part.front()].prep.key;
+    WorkloadCache::StreamPtr stream;
+    if (cache) {
+        try {
+            stream = acquireStream(*cache, members, part);
+        } catch (...) {
+            // Every member shared the failed capture (e.g. the lead's
+            // deadline expired), so each attempt fails with it.
+            for (std::size_t j : part)
+                out[j].error = std::current_exception();
+            return;
+        }
+    }
+
+    // Attach verifies the stream's sealed header and per-lane
+    // checksums (stream/stream.hh). A corrupt capture must never be
+    // replayed: drop the cached entry (a later run re-captures) and
+    // run live, which is bit-identical.
+    std::unique_ptr<StreamCursor> cursor;
+    std::optional<BatchedStreamRun> batch;
+    if (stream) {
+        try {
+            if (part.size() == 1)
+                cursor = std::make_unique<StreamCursor>(stream);
+            else
+                batch.emplace(stream);
+        } catch (const StreamIntegrityError &e) {
+            cache->noteStreamIntegrityFailure(key);
+            warn("%s for %s; falling back to live emulation", e.what(),
+                 key.workload.c_str());
+        }
+    }
+    if (batch) {
+        runLockstep(*batch, members, part, out);
+        return;
+    }
+    for (std::size_t j : part)
+        runAlone(members[j], cursor.get(), out[j]);
+}
 
 } // namespace
 
-std::vector<BatchMemberOutcome>
-runBatchedGroup(const std::vector<ExperimentConfig> &configs,
-                const std::vector<std::size_t> &gridIndices,
-                const StreamKey &groupKey, WorkloadCache &cache,
-                const BatchRunOptions &options)
+std::vector<RunOutcome>
+runGroup(const std::vector<ExperimentConfig> &configs,
+         const std::vector<RunContext> &contexts,
+         const GroupOptions &options)
 {
     const std::size_t n = configs.size();
-    RVP_ASSERT(gridIndices.size() == n);
-    std::vector<BatchMemberOutcome> out(n);
+    RVP_ASSERT(contexts.size() == n);
+    std::vector<RunOutcome> out(n);
     std::vector<Member> members(n);
 
-    auto failMember = [&](std::size_t j, const std::string &what) {
-        members[j].alive = false;
-        out[j].ran = true;
-        out[j].result = ExperimentResult{};
-        out[j].result.failed = true;
-        out[j].result.error = what;
-    };
-
-    // ---- Phase 1: prepare every member (attempt 0 starts here, so a
-    // prepare failure is a consumed attempt and the deadline is armed
-    // before any compilation, exactly like the solo path). ----
+    // Prepare every member once. The attempt starts here, so the
+    // deadline is armed before any compilation and a throw is this
+    // attempt's failure. Prepared members are partitioned by their
+    // actual stream key, in order of first appearance.
+    std::vector<std::vector<std::size_t>> partitions;
     for (std::size_t j = 0; j < n; ++j) {
         Member &m = members[j];
-        RunContext context;
-        context.cache = &cache;
-        context.runIndex = gridIndices[j];
-        context.attempt = 0;
+        RunContext context = contexts[j];
         if (options.runDeadline > 0.0) {
-            m.deadline.emplace(options.runDeadline);
-            context.deadline = &*m.deadline;
+            m.armed.emplace(options.runDeadline);
+            context.deadline = &*m.armed;
         }
+        m.deadline = context.deadline;
         try {
             if (options.onAttemptStart)
                 options.onAttemptStart(configs[j], context);
             m.prep = prepareExperiment(configs[j], context);
-            if (m.prep.key == groupKey) {
-                m.alive = true;
-            } else {
-                // The actual key diverged from the presumed one (a
-                // failed re-allocation folds onto the Base binary):
-                // this member belongs to a different stream, so it
-                // runs solo from attempt 0.
-                out[j].ran = false;
-            }
-        } catch (const std::exception &e) {
-            failMember(j, e.what());
         } catch (...) {
-            failMember(j, "unknown exception");
-        }
-    }
-
-    std::size_t first_alive = n;
-    std::uint64_t max_min_insts = 0;
-    for (std::size_t j = 0; j < n; ++j) {
-        if (!members[j].alive)
+            out[j].error = std::current_exception();
             continue;
-        if (first_alive == n)
-            first_alive = j;
-        max_min_insts =
-            std::max(max_min_insts, members[j].prep.minInsts);
-    }
-    if (first_alive == n)
-        return out;
-
-    // ---- Phase 2: acquire the shared stream. Built once at the
-    // largest member bound; every member still makes its own cache
-    // lookup so the hit/miss counters match a solo sweep. ----
-    const RunDeadline *build_deadline =
-        members[first_alive].deadline ? &*members[first_alive].deadline
-                                      : nullptr;
-    const Program &timed = members[first_alive].prep.timedProgram();
-    WorkloadCache::StreamPtr stream;
-    try {
-        stream = cache.stream(
-            groupKey, max_min_insts, [&](std::uint64_t max_bytes) {
-                return CapturedStream::capture(timed, max_min_insts,
-                                               max_bytes,
-                                               build_deadline);
+        }
+        auto it = std::find_if(
+            partitions.begin(), partitions.end(),
+            [&](const std::vector<std::size_t> &part) {
+                return members[part.front()].prep.key == m.prep.key;
             });
-    } catch (const std::bad_alloc &) {
-        // Same recovery as the solo path: shrink the budget, pin the
-        // key live, and let every member run solo (never a failure).
-        cache.noteCaptureOom(groupKey);
-        warn("stream capture ran out of memory for %s; shrinking the "
-             "cache budget and running the batch live",
-             configs[first_alive].workload.c_str());
-        stream = nullptr;
-    } catch (const std::exception &e) {
-        // The shared capture failed (e.g. the builder's deadline
-        // expired): every member of the batch shared that build, so
-        // each consumed attempt 0 — mirroring how solo runs sharing a
-        // memoized build all receive its exception.
-        for (std::size_t j = 0; j < n; ++j)
-            if (members[j].alive)
-                failMember(j, e.what());
-        return out;
-    }
-    for (std::size_t j = 0; j < n; ++j) {
-        if (!members[j].alive || j == first_alive)
-            continue;
-        // Normally a pure lookup (the entry is resolved): counts the
-        // same cache hit/miss a solo run of this member would. If a
-        // concurrent group's build evicted the entry meanwhile, the
-        // already-built stream is reinstalled instead of re-captured.
-        cache.stream(members[j].prep.key, members[j].prep.minInsts,
-                     [&](std::uint64_t) { return stream; });
-    }
-    if (!stream) {
-        // Over-budget or OOM-pinned: live emulation, solo, attempt 0.
-        for (std::size_t j = 0; j < n; ++j)
-            if (members[j].alive)
-                out[j].ran = false;
-        return out;
+        if (it == partitions.end())
+            partitions.push_back({j});
+        else
+            it->push_back(j);
     }
 
-    // ---- Phase 3: attach the batch (integrity-verified) and the
-    // per-member cores. ----
-    std::optional<BatchedStreamRun> batch;
-    try {
-        batch.emplace(stream, options.ringSlots);
-    } catch (const StreamIntegrityError &e) {
-        cache.noteStreamIntegrityFailure(groupKey);
-        warn("%s for %s; falling back to live emulation",
-             e.what(), configs[first_alive].workload.c_str());
-        for (std::size_t j = 0; j < n; ++j)
-            if (members[j].alive)
-                out[j].ran = false;
-        return out;
-    }
-
-    std::size_t started = 0;
-    std::size_t live = 0;
-    for (std::size_t j = 0; j < n; ++j) {
-        Member &m = members[j];
-        if (!m.alive)
-            continue;
-        m.fetchWidth = m.prep.config.core.fetchWidth;
-        m.consumer = batch->addConsumer();
-        m.core = std::make_unique<Core>(
-            m.prep.config.core, m.prep.timedProgram(),
-            *m.prep.predictor, m.prep.tracer.get(), m.consumer,
-            m.deadline ? &*m.deadline : nullptr);
-        ++started;
-        ++live;
-    }
-
-    // ---- Phase 4: lockstep. Each pass refills the decode ring as
-    // far as the slowest live member allows, then bursts every member
-    // until it would outrun the frontier (or finishes). The laggard
-    // can always burst (ring >> fetchWidth), so every pass makes
-    // progress; once decoding is done, members free-run to the end.
-    // ----
-    double decode_seconds = 0.0;
-    while (live > 0) {
-        auto d0 = std::chrono::steady_clock::now();
-        batch->refill();
-        decode_seconds += secondsSince(d0);
-        for (std::size_t j = 0; j < n; ++j) {
-            Member &m = members[j];
-            if (!m.alive || m.coreDone)
-                continue;
-            auto t0 = std::chrono::steady_clock::now();
-            try {
-                while (!m.coreDone &&
-                       (batch->decodeDone() ||
-                        m.consumer->position() + m.fetchWidth <=
-                            batch->decodedCount())) {
-                    if (!m.core->stepCycle())
-                        m.coreDone = true;
-                }
-            } catch (const std::exception &e) {
-                m.hostSeconds += secondsSince(t0);
-                failMember(j, e.what());
-                m.consumer->detach();
-                --live;
-                continue;
-            } catch (...) {
-                m.hostSeconds += secondsSince(t0);
-                failMember(j, "unknown exception");
-                m.consumer->detach();
-                --live;
-                continue;
-            }
-            m.hostSeconds += secondsSince(t0);
-            if (m.coreDone) {
-                m.consumer->detach();
-                --live;
-            }
-        }
-    }
-
-    // ---- Phase 5: finalize the members that completed. The shared
-    // decode time is attributed evenly across the members that ran
-    // (the solo path would have paid a full decode each). ----
-    double decode_share =
-        started > 0 ? decode_seconds / static_cast<double>(started)
-                    : 0.0;
-    for (std::size_t j = 0; j < n; ++j) {
-        Member &m = members[j];
-        if (!m.alive || !m.coreDone)
-            continue;
-        auto t0 = std::chrono::steady_clock::now();
-        try {
-            CoreResult cr = m.core->finalize();
-            m.hostSeconds += secondsSince(t0);
-            out[j].result = finishExperiment(
-                m.prep, std::move(cr), m.hostSeconds + decode_share);
-            out[j].ran = true;
-        } catch (const std::exception &e) {
-            failMember(j, e.what());
-        } catch (...) {
-            failMember(j, "unknown exception");
-        }
+    for (const std::vector<std::size_t> &part : partitions) {
+        const RunContext &lead = contexts[part.front()];
+        runPartition(lead.bypassStream ? nullptr : lead.cache, members,
+                     part, out);
     }
     return out;
 }

@@ -1,86 +1,87 @@
 /**
  * @file
- * Lockstep driver for config-batched stream replay.
+ * The run driver: every timed run executes in runGroup().
  *
- * runBatchedGroup() takes every pending sweep run that shares one
- * StreamKey, prepares each (compile/profile/predictor — memoized
- * through the WorkloadCache exactly like solo runs), attaches each to
- * a Consumer of one BatchedStreamRun (stream/batch.hh), and steps the
- * N timing cores in bursts off the shared decode ring. The captured
- * stream is decoded once per *group* instead of once per run.
+ * runGroup() takes the runs the scheduler presumes share one committed
+ * stream (sim/sweep.hh, streamKeyGroups) — or the single run of
+ * runExperiment — prepares each member once (compile/profile/predictor,
+ * memoized through the WorkloadCache), partitions the prepared members
+ * by their actual stream key (a Section-7.3 re-allocation that failed
+ * to colour folds onto the Base binary and forms its own partition),
+ * and feeds each partition from what it can observe:
  *
- * Semantics preserved from the solo path:
+ *  - no stream (no cache, a degraded retry, a stream over the byte
+ *    budget, a capture OOM, or an integrity failure at attach): each
+ *    member runs live emulation in place;
+ *  - one member: a StreamCursor, which decodes only as far as its core
+ *    fetches;
+ *  - two or more members: one BatchedStreamRun (stream/batch.hh),
+ *    decoded once and stepped in lockstep.
  *
- *  - results are bit-identical to solo replay (each member owns its
- *    Core, predictor, tracer, and reconstructed ArchState; predictor
- *    consultation happens at that member's own fetch, in its program
- *    order)
- *  - per-member wall-clock deadlines (RunDeadline) are armed at
- *    member preparation and checked inside each member's core loop;
- *    wall-clock is shared, so co-members' bursts count against a
- *    member's budget — an overrun throws out of that member only
- *  - a member that throws (prepare, mid-lockstep, or finalize) falls
- *    out of the batch with a recorded attempt-0 failure; the
- *    scheduler (sim/sweep.cc) then retries it solo under the degraded
- *    profile while the other members finish unaffected
- *  - when no batched stream is available (capture OOM, over-budget
- *    stream, integrity failure at attach), members return with
- *    ran=false and the scheduler runs them solo from attempt 0 — the
- *    same live-emulation fallbacks the solo path takes, never a
- *    failure
+ * The feed changes how fast a run goes, never what it measures: every
+ * member owns its Core, predictor, tracer and reconstructed ArchState,
+ * so results are bit-identical whichever feed ran them.
+ *
+ *  - Every member makes exactly one WorkloadCache::stream() lookup, so
+ *    the cache's hit and miss counters count runs.
+ *  - A member's wall-clock deadline (RunDeadline) is armed at its
+ *    preparation and checked inside its own core loop; in a lockstep
+ *    partition co-members' bursts count against it (shared wall
+ *    clock), and an overrun throws out of that member only.
+ *  - A member that throws (at preparation, in a shared capture, mid-run
+ *    or at finalize) comes back with that attempt's exception while
+ *    the other members finish unaffected. The driver never retries:
+ *    runSweep retries a failed run as a group of one under the
+ *    degraded profile.
  */
 
 #ifndef RVP_SIM_BATCHRUN_HH
 #define RVP_SIM_BATCHRUN_HH
 
+#include <exception>
 #include <functional>
 #include <vector>
 
 #include "sim/runner.hh"
-#include "sim/sweep.hh"
-#include "stream/batch.hh"
 
 namespace rvp
 {
 
-/** What the batch did with one member. */
-struct BatchMemberOutcome
+/** One member's attempt: a result, or the exception that ended it. */
+struct RunOutcome
 {
-    /**
-     * The batch produced this member's attempt-0 state: a result
-     * (result.failed == false) or a consumed failed attempt
-     * (result.failed == true, error set — the scheduler retries solo
-     * at attempt 1). false = the member never ran here (no batched
-     * stream, or its stream key diverged at prepare); run it solo
-     * from attempt 0.
-     */
-    bool ran = false;
     ExperimentResult result;
+    /** The attempt's failure (typed, e.g. DeadlineExceeded); null when
+     *  result holds the finished run. */
+    std::exception_ptr error;
 };
 
-/** Driver knobs (plumbed from SweepOptions by the scheduler). */
-struct BatchRunOptions
+/** Driver knobs (runSweep plumbs them from SweepOptions). */
+struct GroupOptions
 {
-    /** Per-member wall-clock budget, seconds; 0 disables. */
+    /**
+     * Arm a fresh wall-clock budget of this many seconds per member at
+     * its preparation; 0 = use each context's own deadline (may be
+     * null).
+     */
     double runDeadline = 0.0;
-    /** Decode-ring capacity (stream/batch.hh). */
-    std::size_t ringSlots = BatchedStreamRun::defaultRingSlots;
-    /** Test seam forwarded from SweepOptions::onAttemptStart. */
+    /** Called with each member's config and context just before its
+     *  preparation; a throw fails that member's attempt
+     *  (SweepOptions::onAttemptStart). */
     std::function<void(const ExperimentConfig &, const RunContext &)>
         onAttemptStart;
 };
 
 /**
- * Run one stream-key group in lockstep. configs and gridIndices are
- * parallel (gridIndices holds each member's position in the sweep
- * grid, for RunContext and fault addressing); groupKey is the
- * presumed stream key the scheduler grouped by.
+ * Run every config once. configs and contexts are parallel; the
+ * contexts share one cache and one bypassStream setting (a null cache
+ * or bypassStream = live emulation), and each carries its member's
+ * grid index and attempt. Returns one outcome per config, in order.
  */
-std::vector<BatchMemberOutcome>
-runBatchedGroup(const std::vector<ExperimentConfig> &configs,
-                const std::vector<std::size_t> &gridIndices,
-                const StreamKey &groupKey, WorkloadCache &cache,
-                const BatchRunOptions &options);
+std::vector<RunOutcome>
+runGroup(const std::vector<ExperimentConfig> &configs,
+         const std::vector<RunContext> &contexts,
+         const GroupOptions &options = {});
 
 } // namespace rvp
 

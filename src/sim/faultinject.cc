@@ -19,8 +19,10 @@ std::atomic<std::uint64_t> captureOomAfter{~0ull};
 void
 captureOomHook(std::uint64_t instsSoFar)
 {
-    if (instsSoFar >= captureOomAfter.load(std::memory_order_relaxed))
+    if (instsSoFar >= captureOomAfter.load(std::memory_order_relaxed)) {
+        disarmCaptureFaults();
         throw std::bad_alloc();
+    }
 }
 
 } // namespace
@@ -41,18 +43,16 @@ disarmCaptureFaults()
     captureOomAfter.store(~0ull, std::memory_order_relaxed);
 }
 
-std::function<ExperimentResult(const ExperimentConfig &, WorkloadCache &,
-                               const RunContext &)>
-makeFaultInjectingRunFn(const FaultPlan &plan,
-                        std::shared_ptr<FaultLog> log)
+std::function<void(const ExperimentConfig &, const RunContext &)>
+makeFaultHook(const FaultPlan &plan, std::shared_ptr<FaultLog> log)
 {
-    return [plan, log](const ExperimentConfig &config, WorkloadCache &cache,
-                       const RunContext &context) -> ExperimentResult {
+    return [plan, log](const ExperimentConfig &config,
+                       const RunContext &context) {
         auto it = plan.faults.find(context.runIndex);
         bool fires = it != plan.faults.end() &&
                      (plan.persistent || context.attempt == 0);
         if (!fires)
-            return runExperiment(config, context);
+            return;
         if (log)
             log->fired.fetch_add(1, std::memory_order_relaxed);
         switch (it->second) {
@@ -61,27 +61,26 @@ makeFaultInjectingRunFn(const FaultPlan &plan,
                 "injected fault (run " +
                 std::to_string(context.runIndex) + ")");
           case FaultKind::SleepPastDeadline:
+            // An armed deadline is now expired; preparation's entry
+            // check throws DeadlineExceeded.
             std::this_thread::sleep_for(
                 std::chrono::duration<double>(plan.sleepSeconds));
-            // An armed deadline is now expired; runExperiment's
-            // entry check throws DeadlineExceeded.
-            return runExperiment(config, context);
-          case FaultKind::BadAlloc: {
-            CaptureFaultGuard guard;
+            return;
+          case FaultKind::BadAlloc:
             armCaptureBadAlloc(plan.oomAfterInsts);
-            return runExperiment(config, context);
-          }
+            return;
           case FaultKind::CorruptStream:
           case FaultKind::TruncateStream: {
-            // The stream must already be resolved (an earlier run
-            // with the same key captured it); minInsts=0 makes this
-            // a pure lookup for any resolved entry.
-            StreamKey key = streamKeyFor(config, false);
-            auto stream = cache.stream(
-                key, 0,
-                [](std::uint64_t) -> WorkloadCache::StreamPtr {
-                    return nullptr;
-                });
+            // minInsts=0 makes this a pure lookup for any resolved
+            // entry.
+            WorkloadCache::StreamPtr stream;
+            if (context.cache) {
+                stream = context.cache->stream(
+                    streamKeyFor(config, false), 0,
+                    [](std::uint64_t) -> WorkloadCache::StreamPtr {
+                        return nullptr;
+                    });
+            }
             if (!stream) {
                 throw std::logic_error(
                     "fault plan error: no cached stream to corrupt "
@@ -93,10 +92,9 @@ makeFaultInjectingRunFn(const FaultPlan &plan,
             } else {
                 truncateStreamForTest(*stream, plan.corruptLane, 1);
             }
-            return runExperiment(config, context);
+            return;
           }
         }
-        return runExperiment(config, context);   // unreachable
     };
 }
 

@@ -1,11 +1,13 @@
 /**
  * @file
- * Fault injection for robustness tests. Builds on the scheduler's
- * SweepOptions::runFn seam: makeFaultInjectingRunFn wraps the real
- * runExperiment with a plan that makes chosen grid indices misbehave
- * in controlled ways — throw, sleep past the watchdog deadline,
- * simulate allocation failure during stream capture, or corrupt /
- * truncate the cached committed stream so cursor attach fails
+ * Fault injection for robustness tests. makeFaultHook builds a hook
+ * for the scheduler's SweepOptions::onAttemptStart seam, which the run
+ * driver (sim/batchrun.hh) calls just before it prepares each attempt,
+ * so the faults hit the production path: the same groups, feeds and
+ * retries a sweep runs without them. A plan makes chosen grid indices
+ * misbehave in controlled ways — throw, sleep past the watchdog
+ * deadline, simulate allocation failure during stream capture, or
+ * corrupt / truncate the cached committed stream so attach fails
  * integrity verification.
  *
  * Every fault maps to a production recovery path:
@@ -14,10 +16,10 @@
  *                       recorded failure when persistent
  *   SleepPastDeadline-> DeadlineExceeded out of the run, same retry
  *   BadAlloc         -> WorkloadCache::noteCaptureOom (budget halved,
- *                       key pinned live), run completes via live
- *                       emulation with identical stats
+ *                       key pinned live), the run's group completes
+ *                       via live emulation with identical stats
  *   CorruptStream /
- *   TruncateStream   -> StreamIntegrityError at cursor attach,
+ *   TruncateStream   -> StreamIntegrityError at attach,
  *                       noteStreamIntegrityFailure, live fallback
  *
  * Test-only: nothing here is linked into sweep_all. The capture hook
@@ -55,14 +57,16 @@ enum class FaultKind
      *  (SweepOptions::runDeadline < sleepSeconds) expires and the run
      *  fails with DeadlineExceeded at its first check. */
     SleepPastDeadline,
-    /** Arm the capture hook to throw std::bad_alloc mid-capture, then
-     *  run. Requires jobs=1 (the hook is process-global). */
+    /** Arm the capture hook to throw std::bad_alloc in the next
+     *  capture, then run. Requires jobs=1 (the hook is
+     *  process-global). */
     BadAlloc,
     /** XOR one byte of the already-cached stream for this config's
-     *  StreamKey, then run: cursor attach fails verification and the
-     *  run falls back to live emulation. The stream must already be
-     *  resolved in the cache (schedule an earlier run with the same
-     *  key), otherwise the probe pins a negative entry. */
+     *  StreamKey, then run: attach fails verification and the run's
+     *  partition falls back to live emulation. The stream must
+     *  already be resolved in the cache (an earlier group or a
+     *  prewarmed shared cache), otherwise the probe pins a negative
+     *  entry and the attempt fails with a plan error. */
     CorruptStream,
     /** Drop tail bytes of a cached lane; same recovery path. */
     TruncateStream,
@@ -89,9 +93,11 @@ struct FaultPlan
 
 /**
  * Arm CapturedStream::captureHook to throw std::bad_alloc once a
- * capture has encoded afterInsts instructions. Process-global: only
+ * capture has encoded afterInsts instructions; the hook disarms itself
+ * as it throws, so exactly one capture fails. Process-global: only
  * one capture may run at a time while armed (jobs=1). Pair with
- * disarmCaptureFaults() (RAII: CaptureFaultGuard).
+ * disarmCaptureFaults() (RAII: CaptureFaultGuard) for a capture that
+ * never comes.
  */
 void armCaptureBadAlloc(std::uint64_t afterInsts);
 
@@ -108,8 +114,8 @@ struct CaptureFaultGuard
 };
 
 /**
- * Shared observer for a fault-injecting runFn: how many faults
- * actually fired (tests assert the fault was exercised, not skipped).
+ * Shared observer for a fault hook: how many faults actually fired
+ * (tests assert the fault was exercised, not skipped).
  */
 struct FaultLog
 {
@@ -117,15 +123,13 @@ struct FaultLog
 };
 
 /**
- * Build a SweepOptions::runFn that injects plan's faults and
- * delegates everything else to runExperiment(config, context). The
- * returned callable owns a copy of the plan; log (optional) counts
- * fired faults.
+ * Build a SweepOptions::onAttemptStart hook that injects plan's
+ * faults into the attempts it targets and lets every other attempt
+ * through untouched. The returned callable owns a copy of the plan;
+ * log (optional) counts fired faults.
  */
-std::function<ExperimentResult(const ExperimentConfig &, WorkloadCache &,
-                               const RunContext &)>
-makeFaultInjectingRunFn(const FaultPlan &plan,
-                        std::shared_ptr<FaultLog> log = nullptr);
+std::function<void(const ExperimentConfig &, const RunContext &)>
+makeFaultHook(const FaultPlan &plan, std::shared_ptr<FaultLog> log = nullptr);
 
 } // namespace rvp
 

@@ -8,14 +8,15 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
-#include <vector>
 
 #include "common/framing.hh"
 #include "common/jsonlite.hh"
 #include "common/logging.hh"
+#include "common/parse.hh"
 
 namespace rvp
 {
@@ -131,16 +132,36 @@ replayJsonLines(const std::string &path,
     return skipped;
 }
 
+void
+checkArtifactPath(const std::string &path, const char *what)
+{
+    struct stat st;
+    if (lstat(path.c_str(), &st) == 0 && !S_ISREG(st.st_mode))
+        throwConfigError("%s '%s' exists and is not a regular file "
+                         "(a directory, FIFO, device or symlink); "
+                         "refusing to replace it",
+                         what, path.c_str());
+}
+
 bool
 writeFileAtomic(const std::string &path, const std::string &contents)
 {
-    std::string tmp = path + ".tmp.XXXXXX";
-    std::vector<char> tmpl(tmp.begin(), tmp.end());
-    tmpl.push_back('\0');
-    int fd = mkstemp(tmpl.data());
+    checkArtifactPath(path, "output");
+    // O_EXCL on a fresh name instead of mkstemp, whose 0600 would
+    // become the artifact's mode: open() applies the umask to 0666.
+    static std::atomic<unsigned> serial{0};
+    std::string tmp;
+    int fd = -1;
+    for (int tries = 0; fd < 0 && tries < 100; ++tries) {
+        tmp = path + ".tmp." + std::to_string(getpid()) + "." +
+              std::to_string(serial.fetch_add(1));
+        fd = open(tmp.c_str(), O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC,
+                  0666);
+        if (fd < 0 && errno != EEXIST)
+            return false;
+    }
     if (fd < 0)
         return false;
-    tmp.assign(tmpl.data());
 
     if (!writeAll(fd, contents.data(), contents.size())) {
         close(fd);
@@ -165,6 +186,8 @@ writeFileAtomic(const std::string &path, const std::string &contents)
 bool
 appendLineAtomic(const std::string &path, const std::string &line)
 {
+    // Before the read, too: opening a FIFO to read would block.
+    checkArtifactPath(path, "output");
     std::string existing;
     {
         std::ifstream is(path, std::ios::binary);

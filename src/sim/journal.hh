@@ -76,9 +76,21 @@ std::size_t replayJsonLines(
     const std::function<void(const JsonObject &)> &onLine);
 
 /**
+ * The rule for every artifact path (reports, bench rows, traces,
+ * sweepctl records): a path that exists and is not a regular file is
+ * refused, never replaced. Throws ConfigError naming what and path
+ * when it names a directory, FIFO, device or symlink (lstat: a symlink
+ * is refused, not followed). Tools call it before any run and the
+ * writers again at write.
+ */
+void checkArtifactPath(const std::string &path, const char *what);
+
+/**
  * Write contents to path atomically: a temp file beside the target is
- * written, flushed, fsync'd, and rename(2)'d over path. Returns false
- * (with the temp file cleaned up) on any I/O error.
+ * written, flushed, fsync'd, and rename(2)'d over path. A new file
+ * takes the umask's mode. Throws ConfigError when path exists and is
+ * not a regular file (checkArtifactPath); returns false (with the temp
+ * file cleaned up) on any I/O error.
  */
 bool writeFileAtomic(const std::string &path, const std::string &contents);
 

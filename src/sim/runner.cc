@@ -3,7 +3,6 @@
 #include <unistd.h>
 
 #include <bit>
-#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -13,6 +12,8 @@
 #include "compiler/arch_liveness.hh"
 #include "compiler/rvp_realloc.hh"
 #include "profile/critical_path.hh"
+#include "sim/batchrun.hh"
+#include "sim/journal.hh"
 #include "sim/sweep.hh"
 #include "trace/tracer.hh"
 #include "vp/registry.hh"
@@ -180,6 +181,7 @@ validateExperimentConfig(const ExperimentConfig &config)
             throwConfigError("trace_out '%s': directory '%s' is missing "
                              "or not writable",
                              config.traceOut.c_str(), dir.c_str());
+        checkArtifactPath(config.traceOut, "trace_out");
     }
     // Scheme-specific params: parse the bag, check every key against
     // the registry's declaration for this scheme, and every value
@@ -358,6 +360,7 @@ finishExperiment(PreparedRun &prep, CoreResult cr, double hostSeconds)
 {
     const ExperimentConfig &config = prep.config;
     if (prep.tracer) {
+        checkArtifactPath(config.traceOut, "trace_out");
         std::ofstream out(config.traceOut,
                           std::ios::out | std::ios::trunc);
         // Validation checked the directory; a path that vanished or
@@ -407,60 +410,10 @@ finishExperiment(PreparedRun &prep, CoreResult cr, double hostSeconds)
 ExperimentResult
 runExperiment(const ExperimentConfig &config, const RunContext &context)
 {
-    WorkloadCache *cache = context.cache;
-    const RunDeadline *deadline = context.deadline;
-    PreparedRun prep = prepareExperiment(config, context);
-
-    // With a sweep cache, replay the committed stream instead of
-    // re-emulating it: functional execution and SparseMemory traffic
-    // happen once per distinct binary; every other run replays the
-    // encoded capture (bit-identical — capture verifies every derived
-    // field against the live emulator). Null stream = run live (cache
-    // disabled, or this binary's stream exceeds the byte budget).
-    WorkloadCache::StreamPtr stream;
-    std::unique_ptr<StreamCursor> cursor;
-    if (cache && !context.bypassStream) {
-        const Program &timed = prep.timedProgram();
-        try {
-            stream = cache->stream(
-                prep.key, prep.minInsts, [&](std::uint64_t max_bytes) {
-                    return CapturedStream::capture(timed, prep.minInsts,
-                                                   max_bytes, deadline);
-                });
-        } catch (const std::bad_alloc &) {
-            // Capture ran out of memory: shrink the stream budget so
-            // later captures are bounded tighter, remember the key as
-            // uncacheable, and run this attempt live. Never a failure.
-            cache->noteCaptureOom(prep.key);
-            warn("stream capture ran out of memory for %s; shrinking "
-                 "the cache budget and running live",
-                 config.workload.c_str());
-            stream = nullptr;
-        }
-        if (stream) {
-            try {
-                // Attach verifies the stream's sealed header and
-                // per-lane checksums (stream/stream.hh).
-                cursor = std::make_unique<StreamCursor>(stream);
-            } catch (const StreamIntegrityError &e) {
-                // A corrupt capture must never be replayed: drop the
-                // cached entry (the next run re-captures) and fall
-                // back to live emulation, which is bit-identical.
-                cache->noteStreamIntegrityFailure(prep.key);
-                warn("%s for %s; falling back to live emulation",
-                     e.what(), config.workload.c_str());
-                stream = nullptr;
-            }
-        }
-    }
-    Core core(config.core, prep.timedProgram(), *prep.predictor,
-              prep.tracer.get(), cursor.get(), deadline);
-    auto t0 = std::chrono::steady_clock::now();
-    CoreResult cr = core.run();
-    auto t1 = std::chrono::steady_clock::now();
-    return finishExperiment(
-        prep, std::move(cr),
-        std::chrono::duration<double>(t1 - t0).count());
+    RunOutcome outcome = std::move(runGroup({config}, {context}).front());
+    if (outcome.error)
+        std::rethrow_exception(outcome.error);
+    return std::move(outcome.result);
 }
 
 ExperimentResult

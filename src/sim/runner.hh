@@ -114,12 +114,16 @@ struct ExperimentResult
      */
     double kips = 0.0;
     /**
-     * The run body threw (set by runSweep's per-iteration containment,
-     * never by runExperiment itself, which propagates). A failed run
-     * keeps default-initialized metrics; `error` holds the exception
-     * message. Checked by sweep_all when writing result rows.
+     * Every attempt failed (set by runSweep, never by runExperiment
+     * itself, which propagates). A failed run keeps default-initialized
+     * metrics. Checked by sweep_all when writing result rows.
      */
     bool failed = false;
+    /**
+     * The first failed attempt's exception message: set on a failed
+     * run, and kept on a run that succeeded only on a retry
+     * (retries > 0), so the report can say why it ran degraded.
+     */
     std::string error;
     /**
      * Recovery trail (set by runSweep, journaled by sweep_all): how
@@ -250,11 +254,10 @@ struct RunContext
 /**
  * Everything a run builds *before* its timed Core exists: compiled
  * binaries, profiles, the predictor, the tracer, and the stream
- * identity of the timed binary. Splitting this out of runExperiment
- * lets config-batched replay (sim/batchrun.hh) prepare N runs, attach
- * them to one shared stream decode, and finish each with
- * finishExperiment() — while the solo path composes the same pieces
- * byte-identically.
+ * identity of the timed binary. The run driver (sim/batchrun.hh)
+ * prepares every member of a group, partitions them by stream key,
+ * feeds each partition, and finishes each run with
+ * finishExperiment().
  */
 struct PreparedRun
 {
@@ -308,9 +311,12 @@ ExperimentResult finishExperiment(PreparedRun &prep, CoreResult cr,
                                   double hostSeconds);
 
 /**
- * Run one experiment end to end under an explicit context. With a
- * non-null context.cache, compilation and train-profiling are memoized
- * across runs (bit-identical results; see sim/sweep.hh).
+ * Run one experiment end to end under an explicit context: a group of
+ * one through the run driver (sim/batchrun.hh), which rethrows the
+ * attempt's exception (e.g. DeadlineExceeded, ConfigError). With a
+ * non-null context.cache, compilation, train-profiling and the
+ * committed stream are memoized across runs (bit-identical results;
+ * see sim/sweep.hh); without one the run emulates live.
  */
 ExperimentResult runExperiment(const ExperimentConfig &config,
                                const RunContext &context);

@@ -6,7 +6,6 @@
 #include <cstdio>
 #include <exception>
 #include <iterator>
-#include <optional>
 #include <thread>
 
 #include "common/logging.hh"
@@ -26,6 +25,19 @@ secondsSince(std::chrono::steady_clock::time_point start)
     return std::chrono::duration<double>(
                std::chrono::steady_clock::now() - start)
         .count();
+}
+
+/** The message a failed attempt leaves on its result. */
+std::string
+messageOf(const std::exception_ptr &error)
+{
+    try {
+        std::rethrow_exception(error);
+    } catch (const std::exception &e) {
+        return e.what();
+    } catch (...) {
+        return "unknown exception";
+    }
 }
 
 /**
@@ -431,9 +443,7 @@ runSweep(const std::vector<ExperimentConfig> &configs,
 
     std::vector<ExperimentResult> results(configs.size());
     std::vector<double> run_seconds(configs.size(), 0.0);
-    WorkloadCache local_cache(options.streamCapture
-                                  ? options.streamCacheBytes
-                                  : 0);
+    WorkloadCache local_cache(options.streamCacheBytes);
     WorkloadCache &cache =
         options.sharedCache ? *options.sharedCache : local_cache;
     std::atomic<std::size_t> completed{0};
@@ -443,7 +453,18 @@ runSweep(const std::vector<ExperimentConfig> &configs,
     std::mutex progress_mutex;
     auto sweep_start = std::chrono::steady_clock::now();
 
-    // ---- per-run bookkeeping shared by the solo and batched paths --
+    GroupOptions group_options;
+    group_options.runDeadline = options.runDeadline;
+    group_options.onAttemptStart = options.onAttemptStart;
+
+    auto contextFor = [&](std::size_t i, unsigned attempt) {
+        RunContext context;
+        context.cache = &cache;
+        context.runIndex = i;
+        context.attempt = attempt;
+        context.bypassStream = attempt > 0;
+        return context;
+    };
 
     auto finishRun = [&](std::size_t i) {
         if (options.onRunComplete)
@@ -466,7 +487,8 @@ runSweep(const std::vector<ExperimentConfig> &configs,
         }
     };
 
-    auto retryNotice = [&](std::size_t i, unsigned attempt) {
+    auto retryNotice = [&](std::size_t i, unsigned attempt,
+                           const std::string &error) {
         if (!options.progress)
             return;
         std::lock_guard<std::mutex> lock(progress_mutex);
@@ -474,7 +496,7 @@ runSweep(const std::vector<ExperimentConfig> &configs,
                      "  %s: attempt %u failed (%s); retrying "
                      "degraded\n",
                      describeConfig(configs[i]).c_str(), attempt + 1,
-                     results[i].error.c_str());
+                     error.c_str());
     };
 
     // Bounded backoff: doubled per attempt, capped at 1s.
@@ -489,135 +511,69 @@ runSweep(const std::vector<ExperimentConfig> &configs,
         }
     };
 
-    // One run's contained attempt loop, entered at first_attempt.
-    // Precondition for first_attempt > 0 (a batch fall-out): the
-    // caller stored the failed attempt in results[i], printed the
-    // retry notice, and slept the backoff. Bodies must not throw
-    // (parallelFor), so every attempt is caught here; if the last
-    // allowed attempt fails the run is recorded as failed while every
-    // other run proceeds.
-    auto runAttempts = [&](std::size_t i, unsigned first_attempt) {
-        for (unsigned attempt = first_attempt;; ++attempt) {
-            bool degraded = attempt > 0;
-            RunContext context;
-            context.cache = &cache;
-            context.runIndex = i;
-            context.attempt = attempt;
-            context.bypassStream = degraded;
-            // Each attempt gets a fresh wall-clock budget; the null
-            // fast path (runDeadline == 0) never reads the clock.
-            std::optional<RunDeadline> deadline;
-            if (options.runDeadline > 0.0) {
-                deadline.emplace(options.runDeadline);
-                context.deadline = &*deadline;
-            }
-            ExperimentConfig config = configs[i];
-            if (degraded) {
-                // Degraded profile: live emulation only, no tracing,
-                // no histograms. Keeps the retry's peak memory and
-                // failure surface minimal; the headline stats are
-                // unaffected (tracing/hist are observers).
-                config.traceOut.clear();
-                config.core.collectHist = false;
-            }
-            try {
-                if (options.onAttemptStart)
-                    options.onAttemptStart(config, context);
-                results[i] = options.runFn
-                                 ? options.runFn(config, cache, context)
-                                 : runExperiment(config, context);
-                results[i].retries = attempt;
-                results[i].degraded = degraded;
-                break;
-            } catch (const std::exception &e) {
-                results[i] = ExperimentResult{};
-                results[i].failed = true;
-                results[i].error = e.what();
-            } catch (...) {
-                results[i] = ExperimentResult{};
-                results[i].failed = true;
-                results[i].error = "unknown exception";
-            }
-            results[i].retries = attempt;
-            results[i].degraded = degraded;
-            if (attempt >= options.maxRetries)
-                break;
-            retryNotice(i, attempt);
+    // Settle run i from its attempt-0 outcome: while an attempt has
+    // failed and retries remain, run the next one as a group of one
+    // under the degraded profile (live emulation, no tracing, no
+    // histograms — observers only, so the headline stats are
+    // unaffected). The driver contains every exception, so nothing
+    // escapes into parallelFor.
+    auto settle = [&](std::size_t i, RunOutcome outcome) {
+        std::string first_error;
+        unsigned attempt = 0;
+        while (outcome.error && attempt < options.maxRetries) {
+            std::string error = messageOf(outcome.error);
+            if (attempt == 0)
+                first_error = error;
+            retryNotice(i, attempt, error);
             backoffSleep(attempt);
+            ++attempt;
+            ExperimentConfig config = configs[i];
+            config.traceOut.clear();
+            config.core.collectHist = false;
+            outcome = std::move(
+                runGroup({config}, {contextFor(i, attempt)}, group_options)
+                    .front());
         }
+        if (outcome.error) {
+            results[i] = ExperimentResult{};
+            results[i].failed = true;
+            results[i].error = messageOf(outcome.error);
+        } else {
+            results[i] = std::move(outcome.result);
+        }
+        if (attempt > 0)
+            results[i].error = first_error;
+        results[i].retries = attempt;
+        results[i].degraded = attempt > 0;
     };
 
-    auto runSolo = [&](std::size_t i) {
-        auto run_start = std::chrono::steady_clock::now();
-        runAttempts(i, 0);
-        run_seconds[i] = secondsSince(run_start);
-        finishRun(i);
-    };
-
-    // ---- scheduling: group by stream key when batching applies ----
-    //
-    // Batching needs the real run body (the batch IS the run) and a
-    // stream cache to share, so a custom runFn or disabled capture
-    // falls back to per-run scheduling. Grouping uses the presumed
-    // key (reallocFailed=false — cheap, no compilation); a member
-    // whose actual key diverges at prepare falls out to a solo run.
-    bool batching = options.batchReplay && options.streamCapture &&
-                    !options.runFn;
-    std::vector<std::vector<std::size_t>> groups;
-    if (batching) {
-        groups = streamKeyGroups(configs, options.maxBatchGroupRuns);
-    } else {
-        groups.resize(configs.size());
-        for (std::size_t i = 0; i < configs.size(); ++i)
-            groups[i].push_back(i);
-    }
-
+    // Every group goes through the run driver, which picks each
+    // partition's feed (live, cursor, or one shared decode). Grouping
+    // uses the presumed key (reallocFailed=false — cheap, no
+    // compilation); the driver regroups by the actual key.
+    std::vector<std::vector<std::size_t>> groups =
+        streamKeyGroups(configs, options.maxBatchGroupRuns);
     parallelFor(groups.size(), jobs, [&](std::size_t gi) {
         const std::vector<std::size_t> &group = groups[gi];
-        if (group.size() <= 1) {
-            for (std::size_t i : group)
-                runSolo(i);
-            return;
-        }
         auto group_start = std::chrono::steady_clock::now();
-        batch_groups.fetch_add(1, std::memory_order_relaxed);
         std::vector<ExperimentConfig> group_configs;
-        group_configs.reserve(group.size());
-        for (std::size_t i : group)
+        std::vector<RunContext> contexts;
+        for (std::size_t i : group) {
             group_configs.push_back(configs[i]);
-        BatchRunOptions bopts;
-        bopts.runDeadline = options.runDeadline;
-        bopts.onAttemptStart = options.onAttemptStart;
-        std::vector<BatchMemberOutcome> outcomes = runBatchedGroup(
-            group_configs, group, streamKeyFor(configs[group[0]], false),
-            cache, bopts);
+            contexts.push_back(contextFor(i, 0));
+        }
+        std::vector<RunOutcome> outcomes =
+            runGroup(group_configs, contexts, group_options);
+        bool batch = group.size() > 1;
+        if (batch)
+            batch_groups.fetch_add(1, std::memory_order_relaxed);
         for (std::size_t j = 0; j < group.size(); ++j) {
             std::size_t i = group[j];
-            BatchMemberOutcome &o = outcomes[j];
-            if (!o.ran) {
-                // No batched stream for this member: solo, attempt 0
-                // (the same live fallback the solo path would take).
-                runSolo(i);
-                continue;
+            if (batch) {
+                (outcomes[j].error ? batch_fallouts : batched_runs)
+                    .fetch_add(1, std::memory_order_relaxed);
             }
-            results[i] = std::move(o.result);
-            results[i].retries = 0;
-            results[i].degraded = false;
-            if (!results[i].failed) {
-                batched_runs.fetch_add(1, std::memory_order_relaxed);
-                run_seconds[i] = secondsSince(group_start);
-                finishRun(i);
-                continue;
-            }
-            // Fell out of the batch with attempt 0 consumed: retry
-            // solo under the degraded profile (or keep the recorded
-            // failure when retries are disabled).
-            batch_fallouts.fetch_add(1, std::memory_order_relaxed);
-            if (options.maxRetries > 0) {
-                retryNotice(i, 0);
-                backoffSleep(0);
-                runAttempts(i, 1);
-            }
+            settle(i, std::move(outcomes[j]));
             run_seconds[i] = secondsSince(group_start);
             finishRun(i);
         }

@@ -205,24 +205,9 @@ struct SweepOptions
     unsigned jobs = 0;
     /** Emit a per-run progress line to stderr. */
     bool progress = true;
-    /**
-     * The per-config run body; null means runExperiment. A seam for
-     * tests that need to exercise the scheduler itself (e.g. inject a
-     * throwing run and check the sweep contains it) without standing
-     * up a full simulation. The RunContext carries the grid index,
-     * the attempt's deadline, and the degraded-retry switches.
-     */
-    std::function<ExperimentResult(const ExperimentConfig &,
-                                   WorkloadCache &, const RunContext &)>
-        runFn;
-    /**
-     * Capture each distinct binary's committed stream once and replay
-     * it in every run sharing that binary (bit-identical stats; see
-     * stream/stream.hh). Off = always live emulation.
-     */
-    bool streamCapture = true;
     /** Total (and per-stream) encoded-stream byte budget; least-
-     *  recently-used streams are evicted back to live emulation. */
+     *  recently-used streams are evicted back to live emulation. 0
+     *  disables capture: every run uses live emulation. */
     std::uint64_t streamCacheBytes =
         WorkloadCache::defaultStreamCacheBytes;
     /**
@@ -244,26 +229,13 @@ struct SweepOptions
      *  attempt, capped at 1s). */
     double retryBackoff = 0.05;
     /**
-     * Config-batched replay (sim/batchrun.hh): group pending runs by
-     * the stream key of their timed binary and drive each multi-run
-     * group's timing models in lockstep off ONE decode of the
-     * captured stream, instead of decoding it once per run. Results
-     * are bit-identical to solo replay, and per-run journaling,
-     * deadlines, and retry-with-degradation are preserved — a batched
-     * run that fails falls out of its batch and retries solo under
-     * the degraded profile. Only applies when streamCapture is on and
-     * no custom runFn is installed (the batch *is* the run body);
-     * single-member groups take the solo path unchanged.
-     */
-    bool batchReplay = true;
-    /**
-     * Upper bound on runs driven in one batched-replay group. The
-     * paper grid concentrates 268 of 308 runs in 18 stream-key
+     * Upper bound on runs in one run-driver group (sim/batchrun.hh).
+     * The paper grid concentrates 268 of 308 runs in 18 stream-key
      * groups; unchunked, each group is one indivisible scheduling
      * unit and the tail of a parallel sweep serializes behind the
      * biggest ones. Chunks are bit-identical to the whole group (each
      * chunk decodes the same captured stream; members never interact).
-     * 0 = unchunked. Single-run chunks take the solo path unchanged.
+     * 0 = unchunked; 1 = every run replays its own cursor.
      */
     unsigned maxBatchGroupRuns = 16;
     /**
@@ -272,14 +244,15 @@ struct SweepOptions
      * across every batch it executes, so repeated grids share
      * compiles, profiles and streams; perfbench fills one outside
      * its timed sweeps. Null = per-sweep cache, constructed
-     * from streamCapture/streamCacheBytes.
+     * from streamCacheBytes.
      */
     WorkloadCache *sharedCache = nullptr;
     /**
-     * Test seam: invoked at the start of every solo attempt and of
-     * every batch-member preparation, with that attempt's RunContext.
-     * A throw is contained exactly like a run-body throw (the attempt
-     * fails and the usual retry path runs). Null in production.
+     * Fault seam: invoked at the start of every attempt, just before
+     * the run driver prepares it, with that attempt's RunContext. A
+     * throw fails the attempt and the usual retry path runs. The
+     * robustness tests install sim/faultinject.hh's fault hook here;
+     * null in production.
      */
     std::function<void(const ExperimentConfig &, const RunContext &)>
         onAttemptStart;
@@ -305,11 +278,11 @@ struct SweepReport
     std::vector<double> runSeconds;
     unsigned jobs = 0;
     WorkloadCacheStats cache;
-    /** Config-batched replay effectiveness (all 0 when batching was
-     *  off or every group was a singleton). */
-    std::uint64_t batchGroups = 0;   ///< multi-run groups run in lockstep
-    std::uint64_t batchedRuns = 0;   ///< runs resolved inside a batch
-    std::uint64_t batchFallouts = 0; ///< members that fell out to solo
+    /** Run-driver groups of two or more runs (all 0 when every group
+     *  was a single run). */
+    std::uint64_t batchGroups = 0;   ///< groups of two or more runs
+    std::uint64_t batchedRuns = 0;   ///< their runs done at attempt 0
+    std::uint64_t batchFallouts = 0; ///< their runs retried degraded
 };
 
 /**
@@ -345,8 +318,8 @@ void parallelFor(std::size_t count, unsigned jobs,
                  const std::function<void(std::size_t)> &body);
 
 /**
- * The groups a batched-replay sweep runs in lockstep: the indices of
- * configs grouped by presumed stream key (streamKeyFor with
+ * The groups runSweep hands the run driver: the indices of configs
+ * grouped by presumed stream key (streamKeyFor with
  * reallocFailed=false) in order of first appearance, input order
  * within a group, each group cut into chunks of at most maxGroupRuns
  * runs (0 = no cap). Every index lands in exactly one group and no
@@ -359,12 +332,13 @@ streamKeyGroups(const std::vector<ExperimentConfig> &configs,
 /**
  * Run every config in the grid and return results in input order.
  * All configs are validated up front (fail fast before any work).
- * A run body that throws does not take the sweep down: the exception
- * is caught per attempt, the run is retried up to options.maxRetries
- * times under the degraded profile (live emulation, no tracing or
- * histograms), and if every attempt fails the result comes back with
- * failed=true and the last message in error while every other run
- * completes normally.
+ * Every streamKeyGroups group, single runs included, goes through the
+ * run driver (sim/batchrun.hh). A failed attempt does not take the
+ * sweep down: the run is retried up to options.maxRetries times, each
+ * a group of one under the degraded profile (live emulation, no
+ * tracing or histograms). A retried run keeps its first attempt's
+ * message in error, whether a retry succeeds or every attempt fails
+ * (failed=true); every other run completes normally.
  */
 std::vector<ExperimentResult>
 runSweep(const std::vector<ExperimentConfig> &configs,

@@ -14,6 +14,7 @@
 
 #include <fcntl.h>
 #include <signal.h>
+#include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -252,6 +253,86 @@ TEST(CliBadInput, SweepAllExitsOneNamingTheOption)
     cases.back().args.insert(cases.back().args.end(),
                              {"--trace-out", "missing-dir/p"});
     expectEachExitsOne(RVP_SWEEP_ALL_BIN, cases);
+}
+
+TEST(CliBadInput, ArtifactPathsThatAreNotFilesExitOneAndStayPut)
+{
+    // Every writer's path — sweep_all --out, --bench-out and
+    // --trace-out, sweepctl --out — naming a FIFO, a directory or a
+    // symlink is refused before any run or connection, naming the
+    // path, and the thing there is left as it was. (Opening the FIFO
+    // would hang; renaming over the others would replace them.)
+    TempDir dir;
+    ASSERT_EQ(mkfifo(dir.file("fifo").c_str(), 0644), 0);
+    ASSERT_EQ(mkfifo(dir.file("fifo-fig05-lvp-go.trace.json").c_str(),
+                     0644),
+              0);
+    std::filesystem::create_directory(dir.file("dir"));
+    std::filesystem::create_directory(
+        dir.file("dir-fig05-lvp-go.trace.json"));
+    {
+        std::ofstream os(dir.file("target"));
+        os << "kept\n";
+    }
+    ASSERT_EQ(symlink("target", dir.file("link").c_str()), 0);
+    ASSERT_EQ(symlink("target",
+                      dir.file("link-fig05-lvp-go.trace.json").c_str()),
+              0);
+    const std::vector<std::string> small{
+        "--workloads", "go",   "--figures",       "fig05",
+        "--insts",     "1000", "--profile-insts", "1000",
+        "--bench-out", "",     "--quiet",         "--out",
+        "r.json"};
+    for (const std::string kind : {"fifo", "dir", "link"}) {
+        struct Case
+        {
+            const char *bin;
+            std::vector<std::string> args;
+            std::string names;
+        };
+        auto sweep = [&](std::vector<std::string> extra) {
+            std::vector<std::string> args = small;
+            args.insert(args.end(), extra.begin(), extra.end());
+            return args;
+        };
+        std::string trace = kind + "-fig05-lvp-go.trace.json";
+        const Case cases[] = {
+            {RVP_SWEEP_ALL_BIN, sweep({"--out", kind}), kind},
+            {RVP_SWEEP_ALL_BIN, sweep({"--bench-out", kind}), kind},
+            {RVP_SWEEP_ALL_BIN, sweep({"--trace-out", kind + "-"}),
+             trace},
+            {RVP_SWEEPCTL_BIN,
+             {"--socket", "nobody-home.sock", "submit", "--workloads",
+              "go", "--schemes", "lvp", "--out", kind},
+             kind},
+        };
+        for (const Case &c : cases) {
+            Outcome out = runTool(c.bin, c.args, dir);
+            EXPECT_EQ(out.exitCode, 1) << c.bin << " " << kind << "\n"
+                                       << out.stderrText;
+            EXPECT_NE(out.stderrText.find("'" + c.names + "'"),
+                      std::string::npos)
+                << c.bin << " should name '" << c.names << "':\n"
+                << out.stderrText;
+        }
+    }
+    EXPECT_FALSE(std::filesystem::exists(dir.file("r.json")));
+    for (const std::string name : {"fifo", "fifo-fig05-lvp-go.trace.json"})
+        EXPECT_TRUE(std::filesystem::is_fifo(
+            std::filesystem::symlink_status(dir.file(name))))
+            << name;
+    for (const std::string name : {"dir", "dir-fig05-lvp-go.trace.json"})
+        EXPECT_TRUE(std::filesystem::is_directory(
+            std::filesystem::symlink_status(dir.file(name))))
+            << name;
+    for (const std::string name : {"link", "link-fig05-lvp-go.trace.json"})
+        EXPECT_TRUE(std::filesystem::is_symlink(
+            std::filesystem::symlink_status(dir.file(name))))
+            << name;
+    std::ifstream is(dir.file("target"));
+    std::string kept;
+    std::getline(is, kept);
+    EXPECT_EQ(kept, "kept");
 }
 
 TEST(CliBadInput, SweepctlExitsOneBeforeConnecting)

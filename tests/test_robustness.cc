@@ -17,12 +17,16 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <limits>
 #include <map>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -31,12 +35,15 @@
 #include "common/deadline.hh"
 #include "common/jsonlite.hh"
 #include "sim/faultinject.hh"
+#include "sim/figures.hh"
 #include "sim/journal.hh"
 #include "sim/runner.hh"
 #include "sim/sweep.hh"
 #include "stream/stream.hh"
 #include "uarch/core.hh"
 #include "vp/oracle.hh"
+
+#include "config_error.hh"
 
 namespace rvp
 {
@@ -198,7 +205,7 @@ TEST(Retry, TransientThrowIsRetriedDegradedWithExactStats)
     opts.jobs = 2;
     opts.progress = false;
     opts.retryBackoff = 0.0;
-    opts.runFn = makeFaultInjectingRunFn(plan, log);
+    opts.onAttemptStart = makeFaultHook(plan, log);
     std::vector<ExperimentResult> results = runSweep(configs, opts);
 
     ASSERT_EQ(results.size(), 3u);
@@ -208,6 +215,11 @@ TEST(Retry, TransientThrowIsRetriedDegradedWithExactStats)
         EXPECT_EQ(results[i].retries, i == 1 ? 1u : 0u) << i;
         EXPECT_EQ(results[i].degraded, i == 1) << i;
     }
+    // The retried run keeps the error of the attempt that failed, so
+    // the report can say why it ran degraded; the others carry none.
+    EXPECT_EQ(results[1].error, "injected fault (run 1)");
+    EXPECT_TRUE(results[0].error.empty());
+    EXPECT_TRUE(results[2].error.empty());
     // The degraded profile only bypasses observers (stream replay,
     // tracing, histograms), so the retried run's stats are bit-exact.
     expectIdentical(results[1], runExperiment(configs[1]),
@@ -229,7 +241,7 @@ TEST(Retry, PersistentThrowEndsAsARecordedFailure)
     opts.jobs = 1;
     opts.progress = false;
     opts.retryBackoff = 0.0;
-    opts.runFn = makeFaultInjectingRunFn(plan, log);
+    opts.onAttemptStart = makeFaultHook(plan, log);
     std::vector<ExperimentResult> results = runSweep(configs, opts);
 
     ASSERT_EQ(results.size(), 2u);
@@ -258,11 +270,6 @@ TEST(Retry, PersistentDeadlineOverrunIsRecordedNotWedged)
     plan.persistent = true;
     auto log = std::make_shared<FaultLog>();
 
-    SweepOptions opts;
-    opts.jobs = 1;
-    opts.progress = false;
-    opts.retryBackoff = 0.0;
-    opts.runDeadline = 0.25;
     // Prewarm compile/profile/stream into the sweep's cache with no
     // deadline before the first timed attempt: run 0 faults at entry
     // and never builds anything, so without this the unfaulted run 1
@@ -270,19 +277,18 @@ TEST(Retry, PersistentDeadlineOverrunIsRecordedNotWedged)
     // spuriously on slow or sanitizer-instrumented hosts. The timed
     // attempts then exercise exactly what the test is about: the
     // watchdog catching the injected sleep, not build latency.
-    auto inject = makeFaultInjectingRunFn(plan, log);
-    bool prewarmed = false;   // jobs == 1, so a plain bool is safe
-    opts.runFn = [&inject, &prewarmed](const ExperimentConfig &config,
-                                       WorkloadCache &cache,
-                                       const RunContext &context) {
-        if (!prewarmed) {
-            prewarmed = true;
-            RunContext warm;
-            warm.cache = &cache;
-            runExperiment(config, warm);
-        }
-        return inject(config, cache, context);
-    };
+    WorkloadCache cache;
+    RunContext warm;
+    warm.cache = &cache;
+    runExperiment(configs[1], warm);
+
+    SweepOptions opts;
+    opts.jobs = 1;
+    opts.progress = false;
+    opts.retryBackoff = 0.0;
+    opts.runDeadline = 0.25;
+    opts.sharedCache = &cache;
+    opts.onAttemptStart = makeFaultHook(plan, log);
     std::vector<ExperimentResult> results = runSweep(configs, opts);
 
     ASSERT_EQ(results.size(), 2u);
@@ -347,10 +353,11 @@ TEST(CaptureOom, FallsBackToLiveHalvesBudgetAndStaysExact)
 TEST(CaptureOom, InjectedBadAllocInASweepDegradesWithoutFailing)
 {
     // The injector arms the capture OOM hook for run 0's first
-    // attempt only (jobs=1: the hook is process-global). The capture
-    // throws bad_alloc, the cache halves its budget and pins the key
-    // live, and the run itself completes via live emulation without
-    // even needing the retry.
+    // attempt only (jobs=1: the hook is process-global). The two runs
+    // share a stream key, so they form one group whose capture throws
+    // bad_alloc: the cache halves its budget and pins the key live,
+    // and both runs complete via live emulation without even needing
+    // the retry.
     std::vector<ExperimentConfig> configs;
     configs.push_back(smallConfig("go"));
     configs.push_back(smallConfig("go"));
@@ -365,16 +372,21 @@ TEST(CaptureOom, InjectedBadAllocInASweepDegradesWithoutFailing)
     opts.jobs = 1;
     opts.progress = false;
     opts.retryBackoff = 0.0;
-    opts.runFn = makeFaultInjectingRunFn(plan, log);
+    opts.onAttemptStart = makeFaultHook(plan, log);
     SweepReport report;
-    std::vector<ExperimentResult> results =
-        runSweep(configs, opts, &report);
+    std::vector<ExperimentResult> results;
+    {
+        CaptureFaultGuard guard;
+        results = runSweep(configs, opts, &report);
+    }
 
     ASSERT_EQ(results.size(), 2u);
     EXPECT_EQ(log->fired.load(), 1u);
     EXPECT_EQ(report.cache.streamCaptureOoms, 1u);
+    EXPECT_EQ(report.cache.streamBytesBuilt, 0u);
     for (std::size_t i = 0; i < results.size(); ++i) {
         EXPECT_FALSE(results[i].failed) << i;
+        EXPECT_EQ(results[i].retries, 0u) << i;
         expectIdentical(results[i], runExperiment(configs[i]),
                         "bad_alloc sweep run " + std::to_string(i));
     }
@@ -448,10 +460,12 @@ TEST(StreamIntegrity, TruncatedLaneFailsCursorAttach)
 
 TEST(StreamIntegrity, CorruptCachedStreamFallsBackToLiveInTheSweep)
 {
-    // Run 0 captures the stream; the injector corrupts it before run 1
-    // attaches. Run 1 must detect the corruption at attach, drop the
-    // entry, count it, and produce bit-exact results via live
-    // emulation — with no failure and no retry. Every lane in turn.
+    // A prewarmed cache holds the stream; the injector corrupts it as
+    // run 1's attempt starts, before the group (both runs share the
+    // stream key) attaches its shared decode. The group must detect
+    // the corruption at attach, drop the entry, count it, and produce
+    // bit-exact results via live emulation — with no failure and no
+    // retry. Every lane in turn.
     std::vector<ExperimentConfig> configs;
     configs.push_back(smallConfig("go"));
     configs.push_back(smallConfig("go"));
@@ -466,10 +480,16 @@ TEST(StreamIntegrity, CorruptCachedStreamFallsBackToLiveInTheSweep)
         plan.corruptLane = lane;
         auto log = std::make_shared<FaultLog>();
 
+        WorkloadCache cache;
+        RunContext warm;
+        warm.cache = &cache;
+        runExperiment(configs[0], warm);
+
         SweepOptions opts;
-        opts.jobs = 1;   // deterministic capture-then-corrupt ordering
+        opts.jobs = 1;
         opts.progress = false;
-        opts.runFn = makeFaultInjectingRunFn(plan, log);
+        opts.sharedCache = &cache;
+        opts.onAttemptStart = makeFaultHook(plan, log);
         SweepReport report;
         std::vector<ExperimentResult> results =
             runSweep(configs, opts, &report);
@@ -490,6 +510,9 @@ TEST(StreamIntegrity, CorruptCachedStreamFallsBackToLiveInTheSweep)
 
 TEST(StreamIntegrity, TruncatedCachedStreamFallsBackToLiveInTheSweep)
 {
+    // Groups of one: run 0 captures the stream, the injector truncates
+    // it as run 1's attempt starts, and run 1's cursor attach must
+    // fail verification and fall back to live emulation.
     std::vector<ExperimentConfig> configs;
     configs.push_back(smallConfig("mgrid"));
     configs.push_back(smallConfig("mgrid"));
@@ -501,9 +524,10 @@ TEST(StreamIntegrity, TruncatedCachedStreamFallsBackToLiveInTheSweep)
         plan.corruptLane = lane;
 
         SweepOptions opts;
-        opts.jobs = 1;
+        opts.jobs = 1;   // deterministic capture-then-truncate ordering
         opts.progress = false;
-        opts.runFn = makeFaultInjectingRunFn(plan, nullptr);
+        opts.maxBatchGroupRuns = 1;
+        opts.onAttemptStart = makeFaultHook(plan, nullptr);
         SweepReport report;
         std::vector<ExperimentResult> results =
             runSweep(configs, opts, &report);
@@ -516,6 +540,146 @@ TEST(StreamIntegrity, TruncatedCachedStreamFallsBackToLiveInTheSweep)
         expectIdentical(results[1], live,
                         "truncated-stream fallback " + label);
     }
+}
+
+// ---------------------------------------------------------------------
+// The run driver's fallbacks: one lookup and one preparation per run
+// ---------------------------------------------------------------------
+
+/** Four runs of go that share the Base binary's stream key (one group
+ *  in a default sweep), and their live results. */
+struct BaseGroup
+{
+    std::vector<ExperimentConfig> configs;
+    std::vector<ExperimentResult> live;
+
+    BaseGroup()
+    {
+        for (VpScheme scheme : {VpScheme::None, VpScheme::Lvp,
+                                VpScheme::DynamicRvp, VpScheme::Stride})
+        {
+            configs.push_back(smallConfig("go"));
+            configs.back().scheme = scheme;
+        }
+        for (const ExperimentConfig &config : configs)
+            live.push_back(runExperiment(config));
+    }
+};
+
+/** Sweep group's configs at jobs=1 with an attempt counter chained in
+ *  front of hook; returns the attempts started (= preparations). */
+unsigned
+sweepCountingAttempts(
+    const BaseGroup &group, SweepOptions opts, SweepReport &report,
+    std::vector<ExperimentResult> &results,
+    std::function<void(const ExperimentConfig &, const RunContext &)> hook =
+        nullptr)
+{
+    std::atomic<unsigned> starts{0};
+    opts.jobs = 1;
+    opts.progress = false;
+    opts.retryBackoff = 0.0;
+    opts.onAttemptStart = [&](const ExperimentConfig &config,
+                              const RunContext &context) {
+        ++starts;
+        if (hook)
+            hook(config, context);
+    };
+    results = runSweep(group.configs, opts, &report);
+    return starts.load();
+}
+
+void
+expectLiveResults(const BaseGroup &group,
+                  const std::vector<ExperimentResult> &results,
+                  const std::string &label)
+{
+    ASSERT_EQ(results.size(), group.live.size()) << label;
+    for (std::size_t i = 0; i < results.size(); ++i) {
+        EXPECT_FALSE(results[i].failed) << label << i << results[i].error;
+        EXPECT_EQ(results[i].retries, 0u) << label << i;
+        expectIdentical(results[i], group.live[i],
+                        label + std::to_string(i));
+    }
+}
+
+TEST(DriverAccounting, OverBudgetGroupLooksUpAndPreparesEachRunOnce)
+{
+    BaseGroup group;
+    SweepOptions opts;
+    opts.streamCacheBytes = 1'000;   // far below the stream's size
+    SweepReport report;
+    std::vector<ExperimentResult> results;
+    unsigned starts = sweepCountingAttempts(group, opts, report, results);
+
+    const std::size_t n = group.configs.size();
+    EXPECT_EQ(report.batchGroups, 1u);
+    EXPECT_EQ(starts, n);
+    // A preparation compiles through the cache once (these schemes
+    // need no profile).
+    EXPECT_EQ(report.cache.compileHits + report.cache.compileMisses, n);
+    EXPECT_EQ(report.cache.streamHits, 0u);
+    EXPECT_EQ(report.cache.streamMisses, n);
+    EXPECT_EQ(report.cache.streamBytesBuilt, 0u);
+    expectLiveResults(group, results, "over budget run ");
+}
+
+TEST(DriverAccounting, CaptureOomGroupLooksUpAndPreparesEachRunOnce)
+{
+    BaseGroup group;
+    FaultPlan plan;
+    plan.faults[0] = FaultKind::BadAlloc;
+    SweepReport report;
+    std::vector<ExperimentResult> results;
+    unsigned starts;
+    {
+        CaptureFaultGuard guard;   // jobs=1: the hook is process-global
+        starts = sweepCountingAttempts(group, SweepOptions{}, report,
+                                       results, makeFaultHook(plan));
+    }
+
+    const std::size_t n = group.configs.size();
+    EXPECT_EQ(report.cache.streamCaptureOoms, 1u);
+    EXPECT_EQ(starts, n);
+    EXPECT_EQ(report.cache.compileHits + report.cache.compileMisses, n);
+    EXPECT_EQ(report.cache.streamHits + report.cache.streamMisses, n);
+    EXPECT_EQ(report.cache.streamBytesBuilt, 0u);
+    expectLiveResults(group, results, "capture OOM run ");
+}
+
+TEST(DriverAccounting, CorruptStreamGroupRunsLiveWithOneIntegrityFailure)
+{
+    BaseGroup group;
+    WorkloadCache cache;
+    RunContext warm;
+    warm.cache = &cache;
+    runExperiment(group.configs[0], warm);
+    auto stream = cache.stream(
+        streamKeyFor(group.configs[0], false), 0,
+        [](std::uint64_t) -> WorkloadCache::StreamPtr { return nullptr; });
+    ASSERT_NE(stream, nullptr);
+    corruptStreamForTest(*stream, 0, 0, 0x40);
+    WorkloadCacheStats before = cache.stats();
+
+    SweepOptions opts;
+    opts.sharedCache = &cache;
+    SweepReport report;
+    std::vector<ExperimentResult> results;
+    unsigned starts = sweepCountingAttempts(group, opts, report, results);
+
+    const std::size_t n = group.configs.size();
+    const WorkloadCacheStats &after = report.cache;
+    EXPECT_EQ(after.streamIntegrityFailures, 1u);
+    EXPECT_EQ(starts, n);
+    EXPECT_EQ(after.compileHits + after.compileMisses -
+                  before.compileHits - before.compileMisses,
+              n);
+    EXPECT_EQ(after.streamHits + after.streamMisses - before.streamHits -
+                  before.streamMisses,
+              n);
+    // The group ran live: nothing was captured again.
+    EXPECT_EQ(after.streamInstsBuilt, before.streamInstsBuilt);
+    expectLiveResults(group, results, "corrupt stream run ");
 }
 
 // ---------------------------------------------------------------------
@@ -574,6 +738,55 @@ TEST(AtomicWrite, WriteFileAtomicCreatesAndReplaces)
 TEST(AtomicWrite, WriteFileAtomicReportsUnwritableTargets)
 {
     EXPECT_FALSE(writeFileAtomic("/nonexistent-dir-zzz/x.json", "data"));
+}
+
+TEST(AtomicWrite, NonRegularTargetsAreRefusedAndLeftInPlace)
+{
+    // A FIFO, a directory or a symlink at the target is a ConfigError
+    // naming it, and stays what it was; the symlink's target is not
+    // written through.
+    TempDir dir;
+    std::string fifo = dir.file("fifo");
+    std::string sub = dir.file("dir");
+    std::string target = dir.file("target");
+    std::string link = dir.file("link");
+    ASSERT_EQ(mkfifo(fifo.c_str(), 0644), 0);
+    ASSERT_TRUE(std::filesystem::create_directory(sub));
+    ASSERT_TRUE(writeFileAtomic(target, "kept\n"));
+    ASSERT_EQ(symlink(target.c_str(), link.c_str()), 0);
+    for (const std::string &path : {fifo, sub, link}) {
+        EXPECT_CONFIG_ERROR(writeFileAtomic(path, "data"), path);
+        EXPECT_CONFIG_ERROR(appendLineAtomic(path, "row"), path);
+    }
+    struct stat st;
+    ASSERT_EQ(lstat(fifo.c_str(), &st), 0);
+    EXPECT_TRUE(S_ISFIFO(st.st_mode));
+    ASSERT_EQ(lstat(sub.c_str(), &st), 0);
+    EXPECT_TRUE(S_ISDIR(st.st_mode));
+    ASSERT_EQ(lstat(link.c_str(), &st), 0);
+    EXPECT_TRUE(S_ISLNK(st.st_mode));
+    EXPECT_EQ(readFile(target), "kept\n");
+    // No temp-file litter either: only the four entries made above.
+    std::size_t entries = 0;
+    for ([[maybe_unused]] const auto &e :
+         std::filesystem::directory_iterator(dir.path))
+        ++entries;
+    EXPECT_EQ(entries, 4u);
+}
+
+TEST(AtomicWrite, NewFilesTakeTheUmaskMode)
+{
+    TempDir dir;
+    mode_t saved = umask(022);
+    EXPECT_TRUE(writeFileAtomic(dir.file("open.json"), "x\n"));
+    umask(077);
+    EXPECT_TRUE(writeFileAtomic(dir.file("private.json"), "x\n"));
+    umask(saved);
+    struct stat st;
+    ASSERT_EQ(stat(dir.file("open.json").c_str(), &st), 0);
+    EXPECT_EQ(st.st_mode & 0777, 0644u);
+    ASSERT_EQ(stat(dir.file("private.json").c_str(), &st), 0);
+    EXPECT_EQ(st.st_mode & 0777, 0600u);
 }
 
 TEST(AtomicWrite, WriteFileAtomicSyncsTheParentDirectoryEntry)
@@ -792,19 +1005,27 @@ TEST(JournalMerge, MismatchedSweepHashRefusesTheMerge)
 
 pid_t
 spawnSweepAll(const std::vector<std::string> &args,
-              const std::string &cwd = "")
+              const std::string &cwd = "", const std::string &errPath = "")
 {
     pid_t pid = fork();
     if (pid != 0)
         return pid;
     if (!cwd.empty() && chdir(cwd.c_str()) != 0)
         _exit(126);
-    // Child: silence it and exec the real binary.
+    // Child: silence it (stderr to errPath when given) and exec the
+    // real binary.
     int devnull = open("/dev/null", O_WRONLY);
     if (devnull >= 0) {
         dup2(devnull, 1);
         dup2(devnull, 2);
         close(devnull);
+    }
+    if (!errPath.empty()) {
+        int err = open(errPath.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+        if (err < 0)
+            _exit(126);
+        dup2(err, 2);
+        close(err);
     }
     std::vector<char *> argv;
     static const char *bin = RVP_SWEEP_ALL_BIN;
@@ -1123,6 +1344,82 @@ TEST(SweepAllFailures, DeadlineFailuresExitNonzeroAndResumeRecovers)
     std::string recovered = readFile(out);
     EXPECT_EQ(recovered.find("\"failed\": true"), std::string::npos);
     EXPECT_FALSE(std::filesystem::exists(out + ".journal"));
+}
+
+TEST(SweepAllFailures, DegradedRunKeepsItsFirstErrorInReportAndSummary)
+{
+    // A run whose first attempt failed and whose degraded retry
+    // succeeded: produced in-process through the fault hook, journaled
+    // under sweep_all's key for it, and picked up by --resume. The
+    // report row must carry the first attempt's error, and the
+    // end-of-sweep summary must name the run even under --quiet.
+    TempDir dir;
+    std::string out = dir.file("results.json");
+    ExperimentConfig base;
+    base.core.maxInsts = 12'000;
+    base.profileInsts = 12'000;
+    std::vector<FigureRun> grid = expandFigures({"fig05"}, {"go"}, base);
+    auto lvp = std::find_if(grid.begin(), grid.end(),
+                            [](const FigureRun &e) {
+                                return e.variant == "lvp";
+                            });
+    ASSERT_NE(lvp, grid.end());
+
+    FaultPlan plan;
+    plan.faults[0] = FaultKind::Throw;
+    SweepOptions opts;
+    opts.jobs = 1;
+    opts.progress = false;
+    opts.retryBackoff = 0.0;
+    opts.onAttemptStart = makeFaultHook(plan);
+    std::vector<ExperimentResult> retried = runSweep({lvp->config}, opts);
+    ASSERT_EQ(retried[0].retries, 1u);
+    ASSERT_FALSE(retried[0].failed);
+    ASSERT_EQ(retried[0].error, "injected fault (run 0)");
+    {
+        RunJournal journal(out + ".journal");
+        JournalRecord rec;
+        rec.key = hashHex(fnv1a(lvp->config.workload,
+                                fnv1a(lvp->variant, fnv1a(lvp->figure))));
+        rec.figure = lvp->figure;
+        rec.variant = lvp->variant;
+        rec.workload = lvp->config.workload;
+        rec.result = retried[0];
+        journal.append(rec);
+        // The record survives its codec byte for byte.
+        std::optional<JournalRecord> back =
+            parseJournalRunLine(encodeJournalRecord(rec));
+        ASSERT_TRUE(back.has_value());
+        EXPECT_EQ(encodeJournalRecord(*back), encodeJournalRecord(rec));
+    }
+
+    std::string err = dir.file("stderr.txt");
+    std::vector<std::string> args = {
+        "--workloads", "go",    "--figures",       "fig05",
+        "--insts",     "12000", "--profile-insts", "12000",
+        "--jobs",      "1",     "--quiet",         "--stable-output",
+        "--bench-out", "",      "--out",           out,
+        "--resume"};
+    ASSERT_EQ(waitExit(spawnSweepAll(args, "", err)), 0);
+    std::string report = readFile(out);
+    EXPECT_EQ(countOccurrences(report, "\"error\": "), 1u) << report;
+    EXPECT_NE(report.find("\"variant\": \"lvp\""), std::string::npos);
+    std::size_t row = report.find("\"variant\": \"lvp\"");
+    std::string line = report.substr(row, report.find('\n', row) - row);
+    EXPECT_NE(line.find("\"retries\": 1, \"degraded\": true"),
+              std::string::npos)
+        << line;
+    EXPECT_NE(line.find("\"error\": \"injected fault (run 0)\""),
+              std::string::npos)
+        << line;
+    std::string summary = readFile(err);
+    EXPECT_NE(summary.find("1 of " + std::to_string(grid.size()) +
+                           " runs succeeded only on a degraded retry"),
+              std::string::npos)
+        << summary;
+    EXPECT_NE(summary.find("fig05/lvp/go"), std::string::npos) << summary;
+    EXPECT_NE(summary.find("injected fault (run 0)"), std::string::npos)
+        << summary;
 }
 
 } // namespace

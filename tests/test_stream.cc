@@ -234,7 +234,7 @@ TEST(Stream, ReplayedSweepIsBitIdenticalToLiveIncludingHistAndTrace)
     SweepOptions live_opts;
     live_opts.jobs = 1;
     live_opts.progress = false;
-    live_opts.streamCapture = false;
+    live_opts.streamCacheBytes = 0;
     SweepOptions replay_opts;
     replay_opts.jobs = 1;
     replay_opts.progress = false;
@@ -266,10 +266,11 @@ TEST(Stream, ReplayedSweepIsBitIdenticalToLiveIncludingHistAndTrace)
 }
 
 /**
- * The batched-replay tentpole property: a --batch-replay sweep (one
- * decode pass driving every config sharing a stream) must be
- * bit-identical to the solo-replay sweep over the same full grid —
- * stats, histograms, and trace bytes — while actually batching.
+ * The batched-replay property: a default sweep (one decode pass
+ * driving every config sharing a stream) must be bit-identical to a
+ * sweep of groups of one (maxBatchGroupRuns = 1: each run replays its
+ * own cursor) over the same full grid — stats, histograms, and trace
+ * bytes — while actually batching.
  */
 TEST(Stream, BatchedSweepIsBitIdenticalToSoloIncludingHistAndTrace)
 {
@@ -300,7 +301,7 @@ TEST(Stream, BatchedSweepIsBitIdenticalToSoloIncludingHistAndTrace)
     SweepOptions solo_opts;
     solo_opts.jobs = 1;
     solo_opts.progress = false;
-    solo_opts.batchReplay = false;
+    solo_opts.maxBatchGroupRuns = 1;
     SweepOptions batch_opts;
     batch_opts.jobs = 1;
     batch_opts.progress = false;
@@ -310,10 +311,11 @@ TEST(Stream, BatchedSweepIsBitIdenticalToSoloIncludingHistAndTrace)
     std::vector<ExperimentResult> batched =
         runSweep(batch_cfgs, batch_opts, &batch_report);
 
-    // The solo sweep must not have batched, and the batched sweep
-    // must really have grouped runs (the grid has several configs per
-    // binary). The cache hit/miss counters must agree between the two
-    // modes: batching makes one lookup per member, like solo runs do.
+    // The groups-of-one sweep must not have batched, and the default
+    // sweep must really have grouped runs (the grid has several
+    // configs per binary). The cache hit/miss counters must agree
+    // between the two: the driver makes one lookup per member however
+    // it feeds the group.
     EXPECT_EQ(solo_report.batchGroups, 0u);
     EXPECT_EQ(solo_report.batchedRuns, 0u);
     EXPECT_GT(batch_report.batchGroups, 0u);
@@ -424,7 +426,7 @@ TEST(Stream, BatchMemberFaultFallsOutAndOthersFinishBitExact)
 {
     // Three configs share one stream key (timing-only knobs fold onto
     // one binary), so they form one batch. Member 1 throws at its
-    // attempt-0 preparation: it must fall out, retry solo degraded,
+    // attempt-0 preparation: it must fall out, retry degraded alone,
     // and succeed — while the other members finish batched and every
     // result stays bit-exact against the standalone runner.
     std::vector<ExperimentConfig> configs;
@@ -496,7 +498,7 @@ TEST(Stream, EvictionMidSweepKeepsEveryResultIdentical)
     SweepOptions live_opts;
     live_opts.jobs = 1;
     live_opts.progress = false;
-    live_opts.streamCapture = false;
+    live_opts.streamCacheBytes = 0;
 
     SweepReport tight_report;
     std::vector<ExperimentResult> evicted =

@@ -133,7 +133,7 @@ TEST(Sweep, MaxBatchGroupZeroKeepsWholeGroup)
 {
     // maxBatchGroupRuns = 0 disables chunking entirely — the batch
     // counters must match a cap no group reaches — while a cap of 1
-    // degenerates every group to solo runs (batching needs >= 2).
+    // degenerates every group to a group of one (batching needs >= 2).
     std::vector<ExperimentConfig> configs = mixedGrid();
     SweepOptions whole;
     whole.jobs = 1;
@@ -450,8 +450,9 @@ TEST(Sweep, AThrowingRunIsContainedAndTheRestComplete)
 {
     // Regression: a run body that threw used to escape parallelFor's
     // worker thread and std::terminate the whole process, taking every
-    // other run's results with it. runSweep now catches per iteration
-    // and records the failure on that run alone.
+    // other run's results with it. The run driver now contains each
+    // attempt's exception and runSweep records the failure on that run
+    // alone, whichever group it ran in.
     std::vector<ExperimentConfig> configs;
     for (int i = 0; i < 5; ++i)
         configs.push_back(smallConfig(i % 2 ? "go" : "mgrid"));
@@ -461,12 +462,11 @@ TEST(Sweep, AThrowingRunIsContainedAndTheRestComplete)
     opts.progress = false;
     opts.maxRetries = 0;   // containment semantics, not retry (see
                            // test_robustness.cc for the retry paths)
-    opts.runFn = [](const ExperimentConfig &config, WorkloadCache &cache,
-                    const RunContext &) -> ExperimentResult {
-        static std::atomic<int> calls{0};
+    std::atomic<int> calls{0};
+    opts.onAttemptStart = [&calls](const ExperimentConfig &,
+                                   const RunContext &) {
         if (calls.fetch_add(1) == 2)
             throw std::runtime_error("simulated mid-run failure");
-        return runExperiment(config, &cache);
     };
 
     std::vector<ExperimentResult> results = runSweep(configs, opts);
@@ -488,17 +488,15 @@ TEST(Sweep, AThrowingRunIsContainedAndTheRestComplete)
 
 TEST(Sweep, ContainedFailuresStaySerialParallelIdentical)
 {
-    // Which run fails is determined by the injected body (index 1),
+    // Which run fails is determined by the injected hook (index 1),
     // not by scheduling, so serial and parallel sweeps agree even in
     // the presence of failures.
     std::vector<ExperimentConfig> configs;
     for (int i = 0; i < 4; ++i)
         configs.push_back(smallConfig("go"));
-    auto run_fn = [](const ExperimentConfig &config, WorkloadCache &cache,
-                     const RunContext &) -> ExperimentResult {
+    auto hook = [](const ExperimentConfig &config, const RunContext &) {
         if (config.core.maxInsts == 16'000)
             throw std::runtime_error("bad budget");
-        return runExperiment(config, &cache);
     };
     configs[1].core.maxInsts = 16'000;
 
@@ -507,7 +505,7 @@ TEST(Sweep, ContainedFailuresStaySerialParallelIdentical)
         opts.jobs = jobs;
         opts.progress = false;
         opts.maxRetries = 0;
-        opts.runFn = run_fn;
+        opts.onAttemptStart = hook;
         std::vector<ExperimentResult> results = runSweep(configs, opts);
         ASSERT_EQ(results.size(), 4u);
         for (std::size_t i = 0; i < results.size(); ++i) {

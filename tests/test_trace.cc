@@ -470,22 +470,40 @@ TEST(TraceExperiment, UnwritableTracePathIsAConfigErrorNotAnAbort)
     config.traceOut = missing + "/x.trace.json";
     EXPECT_CONFIG_ERROR(validateExperimentConfig(config), "trace_out");
 
-    // A path that passes validation but cannot be opened once the run
-    // is done (here it is a directory) fails that attempt; the sweep
-    // retries it degraded, without the trace, and goes on.
+    // A path that names something other than a file (here a
+    // directory) is refused up front too, never replaced.
     std::string blocked = tempPath("rvp_trace_blocked.trace.json");
     std::filesystem::create_directories(blocked);
     config.traceOut = blocked;
-    validateExperimentConfig(config);
+    EXPECT_CONFIG_ERROR(validateExperimentConfig(config), "trace_out");
     EXPECT_CONFIG_ERROR(runExperiment(config), "trace_out");
+    std::filesystem::remove_all(blocked);
+
+    // A path that passes validation but cannot be written once the run
+    // is done fails that attempt; the sweep retries it degraded,
+    // without the trace, keeps the first attempt's error, and goes on.
+    // The neighbour shares the stream key, so both run in one group,
+    // which prepares every member before it runs any: the neighbour's
+    // attempt start puts a directory where the trace goes.
+    validateExperimentConfig(config);
+    ExperimentConfig neighbour = smallConfig("go");
+    neighbour.scheme = VpScheme::Lvp;
     SweepOptions options;
     options.jobs = 1;
     options.progress = false;
+    options.retryBackoff = 0.0;
+    options.onAttemptStart = [&](const ExperimentConfig &,
+                                 const RunContext &context) {
+        if (context.runIndex == 1 && context.attempt == 0)
+            std::filesystem::create_directories(blocked);
+    };
     std::vector<ExperimentResult> results =
-        runSweep({config, smallConfig("mgrid")}, options);
+        runSweep({config, neighbour}, options);
     EXPECT_FALSE(results[0].failed) << results[0].error;
     EXPECT_EQ(results[0].retries, 1u);
     EXPECT_TRUE(results[0].degraded);
+    EXPECT_NE(results[0].error.find("trace_out"), std::string::npos)
+        << results[0].error;
     EXPECT_FALSE(results[1].failed) << results[1].error;
     std::filesystem::remove_all(blocked);
 }

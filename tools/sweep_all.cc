@@ -61,9 +61,6 @@ struct Options
     /** Committed-stream cache budget; 0 = always live emulation. */
     std::uint64_t streamCacheBytes =
         WorkloadCache::defaultStreamCacheBytes;
-    /** Group runs by stream key and replay each decode once
-     *  (sim/batchrun.hh); results are bit-identical either way. */
-    bool batchReplay = true;
     /** Load <out>.journal and skip runs journaled as successful. */
     bool resume = false;
     /** Per-attempt wall-clock watchdog, seconds; 0 = off. */
@@ -76,7 +73,7 @@ struct Options
      *  so a resumed sweep's JSON is byte-identical to an
      *  uninterrupted one (used by the kill-and-resume test). */
     bool stableOutput = false;
-    /** Batched-replay group chunk bound (SweepOptions); 0 = unchunked. */
+    /** Run-group chunk bound (SweepOptions); 0 = unchunked. */
     unsigned maxBatchGroup = 16;
 };
 
@@ -113,10 +110,6 @@ usage()
         "  --stream-cache-bytes N\n"
         "                      committed-stream replay cache budget\n"
         "                      (default 256 MiB; 0 disables replay)\n"
-        "  --batch-replay      group runs sharing a captured stream and\n"
-        "                      decode it once for the whole group\n"
-        "                      (default; bit-identical to solo replay)\n"
-        "  --no-batch-replay   one decode pass per run instead\n"
         "  --resume            skip runs already journaled as\n"
         "                      successful in <out>.journal (a killed\n"
         "                      sweep picks up where it left off)\n"
@@ -129,9 +122,10 @@ usage()
         "  --stable-output     zero host-timing fields and omit cache\n"
         "                      stats so resumed and uninterrupted\n"
         "                      sweeps emit byte-identical JSON\n"
-        "  --max-batch-group N bound batched-replay groups to N runs\n"
-        "                      (default 16; 0 = unchunked;\n"
-        "                      bit-identical)\n"
+        "  --max-batch-group N runs sharing a captured stream replay\n"
+        "                      one decode, up to N at a time (default\n"
+        "                      16; 0 = unchunked; 1 = one decode per\n"
+        "                      run; bit-identical)\n"
         "  --quiet             suppress per-run progress lines\n";
 }
 
@@ -175,7 +169,7 @@ peakRssMb()
 /**
  * FNV-1a hash of every option that shapes the measured grid, so two
  * bench rows are throughput-comparable exactly when their hashes
- * match. --jobs, --stream-cache-bytes, and --batch-replay are
+ * match. --jobs, --stream-cache-bytes, and --max-batch-group are
  * deliberately excluded: they change how fast the work is done, not
  * what work the sweep does, and comparing rows across them is the
  * point of the trail.
@@ -245,10 +239,6 @@ try {
             opts.hist = true;
         else if (arg == "--stream-cache-bytes")
             opts.streamCacheBytes = parseNumber<std::uint64_t>(next(), arg);
-        else if (arg == "--batch-replay")
-            opts.batchReplay = true;
-        else if (arg == "--no-batch-replay")
-            opts.batchReplay = false;
         else if (arg == "--resume")
             opts.resume = true;
         else if (arg == "--run-deadline")
@@ -306,9 +296,13 @@ try {
     }
     if (entries.empty())
         die("the grid is empty (check --figures / --workloads)");
-    // Refuse a bad grid before the journal or any run is touched.
+    // Refuse a bad grid, or an output that would replace something
+    // other than a file, before the journal or any run is touched.
     for (const FigureRun &entry : entries)
         validateExperimentConfig(entry.config);
+    checkArtifactPath(opts.out, "--out");
+    if (!opts.benchOut.empty())
+        checkArtifactPath(opts.benchOut, "--bench-out");
 
     const std::string sweep_hash = configHash(opts);
     const std::string journal_path = opts.out + ".journal";
@@ -380,10 +374,8 @@ try {
     SweepOptions sweep_opts;
     sweep_opts.jobs = opts.jobs;
     sweep_opts.progress = !opts.quiet;
-    sweep_opts.streamCapture = opts.streamCacheBytes > 0;
     sweep_opts.streamCacheBytes = opts.streamCacheBytes;
     sweep_opts.runDeadline = opts.runDeadline;
-    sweep_opts.batchReplay = opts.batchReplay;
     sweep_opts.maxBatchGroupRuns = opts.maxBatchGroup;
     if (journal) {
         sweep_opts.onRunComplete = [&](std::size_t pi,
@@ -466,9 +458,7 @@ try {
         // Batch counters depend on execution circumstances (a resumed
         // sweep batches only what was left), so they ride with the
         // cache block that --stable-output omits.
-        os << "  \"batch\": {\"enabled\": "
-           << (opts.batchReplay ? "true" : "false")
-           << ", \"groups\": " << report.batchGroups
+        os << "  \"batch\": {\"groups\": " << report.batchGroups
            << ", \"batched_runs\": " << report.batchedRuns
            << ", \"fallouts\": " << report.batchFallouts << "},\n";
         os << "  \"throughput\": {\"aggregate_kips\": "
@@ -502,7 +492,7 @@ try {
            << jsonNum(opts.stableOutput ? 0.0 : run_seconds[i])
            << ", \"kips\": "
            << jsonNum(opts.stableOutput ? 0.0 : r.kips);
-        if (r.failed)
+        if (r.failed || r.retries > 0)
             os << ", \"error\": \"" << jsonEscape(r.error) << "\"";
         if (opts.fullStats) {
             os << ", \"stats\": {";
@@ -582,8 +572,6 @@ try {
             << ", \"max_run_kips\": " << jsonNum(kips.maxKips)
             << ", \"any_run_completed\": "
             << (kips.any ? "true" : "false")
-            << ", \"batch_replay\": "
-            << (opts.batchReplay ? "true" : "false")
             << ", \"batch_groups\": " << report.batchGroups
             << ", \"batched_runs\": " << report.batchedRuns
             << ", \"batch_fallouts\": " << report.batchFallouts
@@ -628,28 +616,39 @@ try {
               << " capture OOMs, " << report.cache.streamBytesResident
               << " bytes resident)\n";
 
-    // Failure summary (S1): every run still failed after its retry is
-    // listed; the exit code tells CI. --keep-going keeps exit 0 for
-    // best-effort sweeps (the journal survives for a later --resume).
-    std::vector<std::size_t> failures;
-    for (std::size_t i = 0; i < entries.size(); ++i)
+    // Run summary, printed even under --quiet: every run that still
+    // failed after its retry, and every run that succeeded only on a
+    // degraded retry (without its trace or histograms), each with its
+    // first attempt's error. The exit code tells CI about failures;
+    // --keep-going keeps exit 0 for best-effort sweeps (the journal
+    // survives for a later --resume).
+    std::vector<std::size_t> failures, degraded;
+    for (std::size_t i = 0; i < entries.size(); ++i) {
         if (results[i].failed)
             failures.push_back(i);
-    if (!failures.empty()) {
-        std::cerr << "sweep_all: " << failures.size() << " of "
-                  << entries.size() << " runs FAILED after retry:\n";
+        else if (results[i].retries > 0)
+            degraded.push_back(i);
+    }
+    auto listRuns = [&](const std::vector<std::size_t> &runs,
+                        const char *what) {
+        if (runs.empty())
+            return;
+        std::cerr << "sweep_all: " << runs.size() << " of "
+                  << entries.size() << " runs " << what << ":\n";
         std::cerr << "  config                                   "
                      "retries  error\n";
-        for (std::size_t i : failures) {
-            char line[256];
-            std::snprintf(line, sizeof(line), "  %-40s %7u  %s\n",
+        for (std::size_t i : runs) {
+            char line[128];
+            std::snprintf(line, sizeof(line), "  %-40s %7u  ",
                           (entries[i].figure + "/" + entries[i].variant +
                            "/" + entries[i].config.workload)
                               .c_str(),
-                          results[i].retries, results[i].error.c_str());
-            std::cerr << line;
+                          results[i].retries);
+            std::cerr << line << results[i].error << "\n";
         }
-    }
+    };
+    listRuns(failures, "FAILED after retry");
+    listRuns(degraded, "succeeded only on a degraded retry");
     if (!opts.noJournal) {
         if (failures.empty()) {
             // Nothing left to resume: the results file is complete

@@ -173,10 +173,13 @@ runSubmit(const Options &opts)
             grid.push_back(spec);
         }
     }
-    // The daemon's own check, run here first: a bad grid exits 1
-    // (main's ConfigError handler) without a connection.
+    // The daemon's own check, run here first: a bad grid, or an --out
+    // that would replace something other than a file, exits 1 (main's
+    // ConfigError handler) without a connection.
     for (const RunSpec &spec : grid)
         validateExperimentConfig(configForSpec(spec));
+    if (!opts.outPath.empty())
+        checkArtifactPath(opts.outPath, "--out");
 
     // Everything still owed a result, by key. A reconnect resubmits
     // exactly these; completed keys come back from the store with the
