@@ -53,6 +53,15 @@ class DeadlineExceeded : public std::runtime_error
     }
 };
 
+/** Wall-clock seconds since start (steady clock). */
+inline double
+secondsSince(std::chrono::steady_clock::time_point start)
+{
+    return std::chrono::duration<double>(
+               std::chrono::steady_clock::now() - start)
+        .count();
+}
+
 /** One run attempt's wall-clock budget, armed at construction. */
 class RunDeadline
 {

@@ -10,6 +10,7 @@
 #include "common/framing.hh"
 #include "common/jsonlite.hh"
 #include "common/logging.hh"
+#include "common/parse.hh"
 #include "sim/journal.hh"
 
 namespace rvp
@@ -118,8 +119,15 @@ ResultStore::compact()
     os << headerLine() << '\n';
     for (const auto &[key, record] : entries_)
         os << putLine(key, record) << '\n';
-    if (!writeFileAtomic(path_, os.str()))
+    // A path replaced since startup is left alone (the artifact rule),
+    // and the daemon still shuts down cleanly.
+    try {
+        if (!writeFileAtomic(path_, os.str()))
+            return false;
+    } catch (const ConfigError &e) {
+        warn("result store not compacted: %s", e.what());
         return false;
+    }
     // Re-point the append fd at the new file; appends to the old
     // inode would be silently lost.
     if (fd_ >= 0)

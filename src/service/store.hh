@@ -67,7 +67,8 @@ class ResultStore
      * Rewrite the file as header + one put line per surviving key
      * (atomic via writeFileAtomic), dropping superseded duplicates.
      * The append fd is reopened on the new file. Safe to call at any
-     * quiet point; the daemon compacts on graceful shutdown.
+     * quiet point; the daemon compacts on graceful shutdown. False
+     * (warned) on an I/O error or a path no longer a regular file.
      */
     bool compact();
 

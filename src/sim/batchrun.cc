@@ -16,22 +16,23 @@ namespace rvp
 namespace
 {
 
-double
-secondsSince(std::chrono::steady_clock::time_point start)
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now() - start)
-        .count();
-}
-
 /** One prepared member (the partition it runs in holds its index). */
 struct Member
 {
     PreparedRun prep;
-    /** The budget armed at preparation (GroupOptions::runDeadline). */
+    /** GroupOptions::runDeadline; 0 = the context's deadline. */
+    double budget = 0.0;
     std::optional<RunDeadline> armed;
     /** This attempt's deadline: &*armed, the context's, or null. */
     const RunDeadline *deadline = nullptr;
+
+    /** Start the budget afresh at a stage of the member's own work. */
+    void
+    rearm()
+    {
+        if (budget > 0.0)
+            armed.emplace(budget);
+    }
 };
 
 /**
@@ -78,6 +79,7 @@ acquireStream(WorkloadCache &cache, std::vector<Member> &members,
 void
 runAlone(Member &m, InstSource *source, RunOutcome &out)
 {
+    m.rearm();
     try {
         Core core(m.prep.config.core, m.prep.timedProgram(),
                   *m.prep.predictor, m.prep.tracer.get(), source,
@@ -117,6 +119,8 @@ runLockstep(BatchedStreamRun &batch, std::vector<Member> &members,
     std::vector<Lane> lanes;
     for (std::size_t j : part) {
         Member &m = members[j];
+        m.rearm();
+        out[j].batched = true;
         BatchedStreamRun::Consumer *consumer = batch.addConsumer();
         try {
             lanes.push_back(
@@ -191,6 +195,8 @@ runPartition(WorkloadCache *cache, std::vector<Member> &members,
 {
     const StreamKey &key = members[part.front()].prep.key;
     WorkloadCache::StreamPtr stream;
+    for (std::size_t j : part)
+        members[j].rearm();
     if (cache) {
         try {
             stream = acquireStream(*cache, members, part);
@@ -241,18 +247,18 @@ runGroup(const std::vector<ExperimentConfig> &configs,
     std::vector<RunOutcome> out(n);
     std::vector<Member> members(n);
 
-    // Prepare every member once. The attempt starts here, so the
-    // deadline is armed before any compilation and a throw is this
+    // Prepare every member once. The attempt starts here, so its
+    // budget is armed before any compilation and a throw is this
     // attempt's failure. Prepared members are partitioned by their
     // actual stream key, in order of first appearance.
     std::vector<std::vector<std::size_t>> partitions;
     for (std::size_t j = 0; j < n; ++j) {
         Member &m = members[j];
         RunContext context = contexts[j];
-        if (options.runDeadline > 0.0) {
-            m.armed.emplace(options.runDeadline);
+        m.budget = options.runDeadline;
+        m.rearm();
+        if (m.armed)
             context.deadline = &*m.armed;
-        }
         m.deadline = context.deadline;
         try {
             if (options.onAttemptStart)

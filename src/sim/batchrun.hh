@@ -24,10 +24,11 @@
  *
  *  - Every member makes exactly one WorkloadCache::stream() lookup, so
  *    the cache's hit and miss counters count runs.
- *  - A member's wall-clock deadline (RunDeadline) is armed at its
- *    preparation and checked inside its own core loop; in a lockstep
- *    partition co-members' bursts count against it (shared wall
- *    clock), and an overrun throws out of that member only.
+ *  - A member's wall-clock budget is armed afresh at its preparation,
+ *    its stream acquisition and its run, so it never pays for another
+ *    member's; in a lockstep partition co-members' bursts count
+ *    against it (shared wall clock), and an overrun throws out of that
+ *    member only.
  *  - A member that throws (at preparation, in a shared capture, mid-run
  *    or at finalize) comes back with that attempt's exception while
  *    the other members finish unaffected. The driver never retries:
@@ -54,15 +55,16 @@ struct RunOutcome
     /** The attempt's failure (typed, e.g. DeadlineExceeded); null when
      *  result holds the finished run. */
     std::exception_ptr error;
+    /** A BatchedStreamRun fed the attempt (not a cursor, not live). */
+    bool batched = false;
 };
 
 /** Driver knobs (runSweep plumbs them from SweepOptions). */
 struct GroupOptions
 {
     /**
-     * Arm a fresh wall-clock budget of this many seconds per member at
-     * its preparation; 0 = use each context's own deadline (may be
-     * null).
+     * Each member's wall-clock budget, seconds (see above); 0 = use
+     * each context's own deadline (may be null).
      */
     double runDeadline = 0.0;
     /** Called with each member's config and context just before its

@@ -19,14 +19,6 @@ namespace rvp
 namespace
 {
 
-double
-secondsSince(std::chrono::steady_clock::time_point start)
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now() - start)
-        .count();
-}
-
 /** The message a failed attempt leaves on its result. */
 std::string
 messageOf(const std::exception_ptr &error)
@@ -564,15 +556,19 @@ runSweep(const std::vector<ExperimentConfig> &configs,
         }
         std::vector<RunOutcome> outcomes =
             runGroup(group_configs, contexts, group_options);
-        bool batch = group.size() > 1;
+        // Count what a shared decode fed: a group that ran live or on
+        // cursors counts nothing.
+        bool batch = std::any_of(
+            outcomes.begin(), outcomes.end(),
+            [](const RunOutcome &o) { return o.batched; });
         if (batch)
             batch_groups.fetch_add(1, std::memory_order_relaxed);
         for (std::size_t j = 0; j < group.size(); ++j) {
             std::size_t i = group[j];
-            if (batch) {
-                (outcomes[j].error ? batch_fallouts : batched_runs)
-                    .fetch_add(1, std::memory_order_relaxed);
-            }
+            if (batch && outcomes[j].error)
+                batch_fallouts.fetch_add(1, std::memory_order_relaxed);
+            else if (outcomes[j].batched)
+                batched_runs.fetch_add(1, std::memory_order_relaxed);
             settle(i, std::move(outcomes[j]));
             run_seconds[i] = secondsSince(group_start);
             finishRun(i);

@@ -215,7 +215,8 @@ struct SweepOptions
      * fast path leaves the golden stats and the sweep wall time
      * unchanged). An attempt that overruns fails with error
      * "deadline exceeded (...)" instead of wedging its worker; the
-     * retry (below) gets a fresh budget.
+     * retry (below) gets a fresh budget. It is never spent on another
+     * run of the group (sim/batchrun.hh).
      */
     double runDeadline = 0.0;
     /**
@@ -278,11 +279,11 @@ struct SweepReport
     std::vector<double> runSeconds;
     unsigned jobs = 0;
     WorkloadCacheStats cache;
-    /** Run-driver groups of two or more runs (all 0 when every group
-     *  was a single run). */
-    std::uint64_t batchGroups = 0;   ///< groups of two or more runs
-    std::uint64_t batchedRuns = 0;   ///< their runs done at attempt 0
-    std::uint64_t batchFallouts = 0; ///< their runs retried degraded
+    /** Run-driver groups in which a BatchedStreamRun fed some member
+     *  (all 0 when every run went live or on its own cursor). */
+    std::uint64_t batchGroups = 0;   ///< groups that shared a decode
+    std::uint64_t batchedRuns = 0;   ///< batch-fed runs done at attempt 0
+    std::uint64_t batchFallouts = 0; ///< their group's runs retried
 };
 
 /**

@@ -258,10 +258,11 @@ TEST(CliBadInput, SweepAllExitsOneNamingTheOption)
 TEST(CliBadInput, ArtifactPathsThatAreNotFilesExitOneAndStayPut)
 {
     // Every writer's path — sweep_all --out, --bench-out and
-    // --trace-out, sweepctl --out — naming a FIFO, a directory or a
-    // symlink is refused before any run or connection, naming the
-    // path, and the thing there is left as it was. (Opening the FIFO
-    // would hang; renaming over the others would replace them.)
+    // --trace-out, sweepctl --out, rvpsweepd --store — naming a FIFO, a
+    // directory or a symlink is refused before any run, connection or
+    // socket, naming the path, and the thing there is left as it was.
+    // (Opening the FIFO would hang; renaming over the others would
+    // replace them.)
     TempDir dir;
     ASSERT_EQ(mkfifo(dir.file("fifo").c_str(), 0644), 0);
     ASSERT_EQ(mkfifo(dir.file("fifo-fig05-lvp-go.trace.json").c_str(),
@@ -305,6 +306,9 @@ TEST(CliBadInput, ArtifactPathsThatAreNotFilesExitOneAndStayPut)
              {"--socket", "nobody-home.sock", "submit", "--workloads",
               "go", "--schemes", "lvp", "--out", kind},
              kind},
+            {RVP_RVPSWEEPD_BIN,
+             {"--socket", "d.sock", "--store", kind},
+             kind},
         };
         for (const Case &c : cases) {
             Outcome out = runTool(c.bin, c.args, dir);
@@ -317,6 +321,7 @@ TEST(CliBadInput, ArtifactPathsThatAreNotFilesExitOneAndStayPut)
         }
     }
     EXPECT_FALSE(std::filesystem::exists(dir.file("r.json")));
+    EXPECT_FALSE(std::filesystem::exists(dir.file("d.sock")));
     for (const std::string name : {"fifo", "fifo-fig05-lvp-go.trace.json"})
         EXPECT_TRUE(std::filesystem::is_fifo(
             std::filesystem::symlink_status(dir.file(name))))

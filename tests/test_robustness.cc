@@ -19,6 +19,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -613,7 +614,9 @@ TEST(DriverAccounting, OverBudgetGroupLooksUpAndPreparesEachRunOnce)
     unsigned starts = sweepCountingAttempts(group, opts, report, results);
 
     const std::size_t n = group.configs.size();
-    EXPECT_EQ(report.batchGroups, 1u);
+    // The group ran live, so no shared decode fed it.
+    EXPECT_EQ(report.batchGroups, 0u);
+    EXPECT_EQ(report.batchedRuns, 0u);
     EXPECT_EQ(starts, n);
     // A preparation compiles through the cache once (these schemes
     // need no profile).
@@ -640,6 +643,8 @@ TEST(DriverAccounting, CaptureOomGroupLooksUpAndPreparesEachRunOnce)
 
     const std::size_t n = group.configs.size();
     EXPECT_EQ(report.cache.streamCaptureOoms, 1u);
+    EXPECT_EQ(report.batchGroups, 0u);
+    EXPECT_EQ(report.batchedRuns, 0u);
     EXPECT_EQ(starts, n);
     EXPECT_EQ(report.cache.compileHits + report.cache.compileMisses, n);
     EXPECT_EQ(report.cache.streamHits + report.cache.streamMisses, n);
@@ -670,6 +675,8 @@ TEST(DriverAccounting, CorruptStreamGroupRunsLiveWithOneIntegrityFailure)
     const std::size_t n = group.configs.size();
     const WorkloadCacheStats &after = report.cache;
     EXPECT_EQ(after.streamIntegrityFailures, 1u);
+    EXPECT_EQ(report.batchGroups, 0u);
+    EXPECT_EQ(report.batchedRuns, 0u);
     EXPECT_EQ(starts, n);
     EXPECT_EQ(after.compileHits + after.compileMisses -
                   before.compileHits - before.compileMisses,
@@ -680,6 +687,58 @@ TEST(DriverAccounting, CorruptStreamGroupRunsLiveWithOneIntegrityFailure)
     // The group ran live: nothing was captured again.
     EXPECT_EQ(after.streamInstsBuilt, before.streamInstsBuilt);
     expectLiveResults(group, results, "corrupt stream run ");
+}
+
+TEST(DriverAccounting, LiveGroupGivesEachRunItsOwnDeadline)
+{
+    // With no stream, a partition's members run live one after another.
+    // Each run's watchdog budget covers its own run, never the runs it
+    // waited for: a budget that fits one run but not the twelve in a
+    // row passes every run at its first attempt.
+    ExperimentConfig base = smallConfig("go");
+    base.core.maxInsts = 200'000;
+    std::vector<ExperimentConfig> configs;
+    for (int copy = 0; copy < 3; ++copy) {
+        for (VpScheme scheme : {VpScheme::None, VpScheme::Lvp,
+                                VpScheme::DynamicRvp, VpScheme::Stride})
+        {
+            configs.push_back(base);
+            configs.back().scheme = scheme;
+        }
+    }
+
+    // Stream budget 0: every run is live. Warm the compile cache, then
+    // time each scheme's run alone.
+    WorkloadCache cache(0);
+    RunContext warm;
+    warm.cache = &cache;
+    double longest = 0.0;
+    for (std::size_t i = 0; i < 4; ++i) {
+        runExperiment(configs[i], warm);
+        auto t0 = std::chrono::steady_clock::now();
+        runExperiment(configs[i], warm);
+        longest = std::max(
+            longest, std::chrono::duration<double>(
+                         std::chrono::steady_clock::now() - t0)
+                         .count());
+    }
+
+    SweepOptions opts;
+    opts.jobs = 1;
+    opts.progress = false;
+    opts.retryBackoff = 0.0;
+    opts.sharedCache = &cache;
+    opts.runDeadline = 4.0 * longest;
+    SweepReport report;
+    std::vector<ExperimentResult> results =
+        runSweep(configs, opts, &report);
+
+    ASSERT_EQ(results.size(), configs.size());
+    EXPECT_EQ(report.batchGroups, 0u);
+    for (std::size_t i = 0; i < results.size(); ++i) {
+        EXPECT_FALSE(results[i].failed) << i << ": " << results[i].error;
+        EXPECT_EQ(results[i].retries, 0u) << i << ": " << results[i].error;
+    }
 }
 
 // ---------------------------------------------------------------------

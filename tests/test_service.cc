@@ -589,6 +589,30 @@ TEST(ResultStoreTest, CompactDropsSupersededEntriesAndStaysAppendable)
     EXPECT_EQ(*reloaded.get("k3"), "{\"v\": 10}");
 }
 
+TEST(ResultStoreTest, CompactLeavesAPathThatIsNoLongerAFileAlone)
+{
+    // The store path is checked at daemon start, but it can be replaced
+    // while the daemon serves. Compaction at shutdown then refuses the
+    // new thing (the artifact rule) without throwing, so the daemon
+    // still closes its connections and removes its socket.
+    TempDir dir;
+    std::string path = dir.file("store.jsonl");
+    ResultStore store(path);
+    ASSERT_TRUE(store.put("k1", "{\"v\": 1}"));
+    std::filesystem::rename(path, dir.file("moved.jsonl"));
+    ASSERT_EQ(symlink("moved.jsonl", path.c_str()), 0);
+
+    bool compacted = true;
+    EXPECT_NO_THROW(compacted = store.compact());
+    EXPECT_FALSE(compacted);
+    EXPECT_TRUE(std::filesystem::is_symlink(
+        std::filesystem::symlink_status(path)));
+    EXPECT_EQ(readFile(dir.file("moved.jsonl")),
+              "{\"type\": \"store\", \"version\": 1}\n"
+              "{\"type\": \"put\", \"key\": \"k1\", \"record\": "
+              "\"{\\\"v\\\": 1}\"}\n");
+}
+
 // ---------------------------------------------------------------------
 // Journal record codec (the store's payload format)
 // ---------------------------------------------------------------------

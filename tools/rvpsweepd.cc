@@ -27,6 +27,7 @@
 
 #include "common/deadline.hh"
 #include "service/daemon.hh"
+#include "sim/journal.hh"
 
 using namespace rvp;
 
@@ -114,6 +115,8 @@ try {
         die("--socket is required");
     if (opts.storePath.empty())
         die("--store is required");
+    // Before the store is opened: replaying a FIFO would block.
+    checkArtifactPath(opts.storePath, "--store");
 
     SweepService service(opts);
     if (!service.ok())
