@@ -119,8 +119,7 @@ ResultStore::compact()
     os << headerLine() << '\n';
     for (const auto &[key, record] : entries_)
         os << putLine(key, record) << '\n';
-    // A path replaced since startup is left alone (the artifact rule),
-    // and the daemon still shuts down cleanly.
+    // A path replaced since startup is left alone (the artifact rule).
     try {
         if (!writeFileAtomic(path_, os.str()))
             return false;

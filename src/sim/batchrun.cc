@@ -79,6 +79,7 @@ acquireStream(WorkloadCache &cache, std::vector<Member> &members,
 void
 runAlone(Member &m, InstSource *source, RunOutcome &out)
 {
+    auto start = std::chrono::steady_clock::now();
     m.rearm();
     try {
         Core core(m.prep.config.core, m.prep.timedProgram(),
@@ -91,6 +92,7 @@ runAlone(Member &m, InstSource *source, RunOutcome &out)
     } catch (...) {
         out.error = std::current_exception();
     }
+    out.seconds += secondsSince(start);
 }
 
 /**
@@ -116,6 +118,7 @@ runLockstep(BatchedStreamRun &batch, std::vector<Member> &members,
         double hostSeconds = 0.0;
         bool live = true;
     };
+    auto start = std::chrono::steady_clock::now();
     std::vector<Lane> lanes;
     for (std::size_t j : part) {
         Member &m = members[j];
@@ -185,6 +188,8 @@ runLockstep(BatchedStreamRun &batch, std::vector<Member> &members,
             out[lane.j].error = std::current_exception();
         }
     }
+    for (std::size_t j : part)
+        out[j].seconds += secondsSince(start);
 }
 
 /** Feed and run one partition (members sharing an actual key). */
@@ -195,6 +200,8 @@ runPartition(WorkloadCache *cache, std::vector<Member> &members,
 {
     const StreamKey &key = members[part.front()].prep.key;
     WorkloadCache::StreamPtr stream;
+    // Acquiring the stream is a stage of its own (the run is the next).
+    auto start = std::chrono::steady_clock::now();
     for (std::size_t j : part)
         members[j].rearm();
     if (cache) {
@@ -227,6 +234,8 @@ runPartition(WorkloadCache *cache, std::vector<Member> &members,
                  key.workload.c_str());
         }
     }
+    for (std::size_t j : part)
+        out[j].seconds += secondsSince(start);
     if (batch) {
         runLockstep(*batch, members, part, out);
         return;
@@ -260,14 +269,17 @@ runGroup(const std::vector<ExperimentConfig> &configs,
         if (m.armed)
             context.deadline = &*m.armed;
         m.deadline = context.deadline;
+        auto start = std::chrono::steady_clock::now();
         try {
             if (options.onAttemptStart)
                 options.onAttemptStart(configs[j], context);
             m.prep = prepareExperiment(configs[j], context);
         } catch (...) {
             out[j].error = std::current_exception();
-            continue;
         }
+        out[j].seconds = secondsSince(start);
+        if (out[j].error)
+            continue;
         auto it = std::find_if(
             partitions.begin(), partitions.end(),
             [&](const std::vector<std::size_t> &part) {

@@ -57,6 +57,9 @@ struct RunOutcome
     std::exception_ptr error;
     /** A BatchedStreamRun fed the attempt (not a cursor, not live). */
     bool batched = false;
+    /** Wall-clock seconds of the member's own stages (see above; in
+     *  lockstep, the whole run), never of stages it waited for. */
+    double seconds = 0.0;
 };
 
 /** Driver knobs (runSweep plumbs them from SweepOptions). */

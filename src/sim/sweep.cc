@@ -547,7 +547,6 @@ runSweep(const std::vector<ExperimentConfig> &configs,
         streamKeyGroups(configs, options.maxBatchGroupRuns);
     parallelFor(groups.size(), jobs, [&](std::size_t gi) {
         const std::vector<std::size_t> &group = groups[gi];
-        auto group_start = std::chrono::steady_clock::now();
         std::vector<ExperimentConfig> group_configs;
         std::vector<RunContext> contexts;
         for (std::size_t i : group) {
@@ -569,8 +568,10 @@ runSweep(const std::vector<ExperimentConfig> &configs,
                 batch_fallouts.fetch_add(1, std::memory_order_relaxed);
             else if (outcomes[j].batched)
                 batched_runs.fetch_add(1, std::memory_order_relaxed);
+            run_seconds[i] = outcomes[j].seconds;
+            auto retry_start = std::chrono::steady_clock::now();
             settle(i, std::move(outcomes[j]));
-            run_seconds[i] = secondsSince(group_start);
+            run_seconds[i] += secondsSince(retry_start);
             finishRun(i);
         }
     });

@@ -257,28 +257,25 @@ TEST(CliBadInput, SweepAllExitsOneNamingTheOption)
 
 TEST(CliBadInput, ArtifactPathsThatAreNotFilesExitOneAndStayPut)
 {
-    // Every writer's path — sweep_all --out, --bench-out and
-    // --trace-out, sweepctl --out, rvpsweepd --store — naming a FIFO, a
-    // directory or a symlink is refused before any run, connection or
-    // socket, naming the path, and the thing there is left as it was.
-    // (Opening the FIFO would hang; renaming over the others would
-    // replace them.)
+    // Every writer's path — sweep_all --out, --bench-out, --trace-out
+    // and <out>.journal, sweepctl --out, rvpsweepd --store — naming a
+    // FIFO, a directory or a symlink is refused before any run,
+    // connection or socket, naming the path, and the thing there is
+    // left as it was. (Opening the FIFO would hang; renaming over or
+    // unlinking the others would replace them.)
     TempDir dir;
-    ASSERT_EQ(mkfifo(dir.file("fifo").c_str(), 0644), 0);
-    ASSERT_EQ(mkfifo(dir.file("fifo-fig05-lvp-go.trace.json").c_str(),
-                     0644),
-              0);
-    std::filesystem::create_directory(dir.file("dir"));
-    std::filesystem::create_directory(
-        dir.file("dir-fig05-lvp-go.trace.json"));
     {
         std::ofstream os(dir.file("target"));
         os << "kept\n";
     }
-    ASSERT_EQ(symlink("target", dir.file("link").c_str()), 0);
-    ASSERT_EQ(symlink("target",
-                      dir.file("link-fig05-lvp-go.trace.json").c_str()),
-              0);
+    const std::vector<std::string> suffixes{"", "-fig05-lvp-go.trace.json",
+                                            "-r.json.journal"};
+    for (const std::string &suffix : suffixes) {
+        ASSERT_EQ(mkfifo(dir.file("fifo" + suffix).c_str(), 0644), 0);
+        ASSERT_TRUE(
+            std::filesystem::create_directory(dir.file("dir" + suffix)));
+        ASSERT_EQ(symlink("target", dir.file("link" + suffix).c_str()), 0);
+    }
     const std::vector<std::string> small{
         "--workloads", "go",   "--figures",       "fig05",
         "--insts",     "1000", "--profile-insts", "1000",
@@ -302,6 +299,8 @@ TEST(CliBadInput, ArtifactPathsThatAreNotFilesExitOneAndStayPut)
             {RVP_SWEEP_ALL_BIN, sweep({"--bench-out", kind}), kind},
             {RVP_SWEEP_ALL_BIN, sweep({"--trace-out", kind + "-"}),
              trace},
+            {RVP_SWEEP_ALL_BIN, sweep({"--out", kind + "-r.json"}),
+             kind + "-r.json.journal"},
             {RVP_SWEEPCTL_BIN,
              {"--socket", "nobody-home.sock", "submit", "--workloads",
               "go", "--schemes", "lvp", "--out", kind},
@@ -322,18 +321,19 @@ TEST(CliBadInput, ArtifactPathsThatAreNotFilesExitOneAndStayPut)
     }
     EXPECT_FALSE(std::filesystem::exists(dir.file("r.json")));
     EXPECT_FALSE(std::filesystem::exists(dir.file("d.sock")));
-    for (const std::string name : {"fifo", "fifo-fig05-lvp-go.trace.json"})
+    for (const std::string kind : {"fifo", "dir", "link"})
+        EXPECT_FALSE(std::filesystem::exists(dir.file(kind + "-r.json")));
+    for (const std::string &suffix : suffixes) {
         EXPECT_TRUE(std::filesystem::is_fifo(
-            std::filesystem::symlink_status(dir.file(name))))
-            << name;
-    for (const std::string name : {"dir", "dir-fig05-lvp-go.trace.json"})
+            std::filesystem::symlink_status(dir.file("fifo" + suffix))))
+            << suffix;
         EXPECT_TRUE(std::filesystem::is_directory(
-            std::filesystem::symlink_status(dir.file(name))))
-            << name;
-    for (const std::string name : {"link", "link-fig05-lvp-go.trace.json"})
+            std::filesystem::symlink_status(dir.file("dir" + suffix))))
+            << suffix;
         EXPECT_TRUE(std::filesystem::is_symlink(
-            std::filesystem::symlink_status(dir.file(name))))
-            << name;
+            std::filesystem::symlink_status(dir.file("link" + suffix))))
+            << suffix;
+    }
     std::ifstream is(dir.file("target"));
     std::string kept;
     std::getline(is, kept);

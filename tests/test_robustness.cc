@@ -689,12 +689,14 @@ TEST(DriverAccounting, CorruptStreamGroupRunsLiveWithOneIntegrityFailure)
     expectLiveResults(group, results, "corrupt stream run ");
 }
 
-TEST(DriverAccounting, LiveGroupGivesEachRunItsOwnDeadline)
+TEST(DriverAccounting, LiveGroupChargesEachRunOnlyItsOwnTime)
 {
     // With no stream, a partition's members run live one after another.
-    // Each run's watchdog budget covers its own run, never the runs it
-    // waited for: a budget that fits one run but not the twelve in a
-    // row passes every run at its first attempt.
+    // Each run's watchdog budget and reported time cover its own run,
+    // never the runs it waited for: a budget that fits one run but not
+    // the twelve in a row passes every run at its first attempt, and
+    // the runs' times add up to about the sweep's, not twelve times
+    // it.
     ExperimentConfig base = smallConfig("go");
     base.core.maxInsts = 200'000;
     std::vector<ExperimentConfig> configs;
@@ -739,6 +741,11 @@ TEST(DriverAccounting, LiveGroupGivesEachRunItsOwnDeadline)
         EXPECT_FALSE(results[i].failed) << i << ": " << results[i].error;
         EXPECT_EQ(results[i].retries, 0u) << i << ": " << results[i].error;
     }
+    double summed = 0.0;
+    for (double seconds : report.runSeconds)
+        summed += seconds;
+    EXPECT_GT(summed, 0.0);
+    EXPECT_LT(summed, 2.0 * report.wallSeconds);
 }
 
 // ---------------------------------------------------------------------

@@ -306,6 +306,7 @@ try {
 
     const std::string sweep_hash = configHash(opts);
     const std::string journal_path = opts.out + ".journal";
+    checkArtifactPath(journal_path, "journal");
     std::vector<std::string> keys;
     keys.reserve(entries.size());
     for (const FigureRun &entry : entries)
