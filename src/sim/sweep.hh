@@ -275,7 +275,7 @@ struct SweepReport
 {
     /** End-to-end sweep wall-clock, seconds. */
     double wallSeconds = 0.0;
-    /** Per-config run wall-clock, seconds, in input order. */
+    /** Per-run seconds of its own stages and retries, in input order. */
     std::vector<double> runSeconds;
     unsigned jobs = 0;
     WorkloadCacheStats cache;
