@@ -22,7 +22,6 @@
 #include "common/logging.hh"
 #include "common/parse.hh"
 #include "service/protocol.hh"
-#include "service/store.hh"
 #include "sim/journal.hh"
 #include "sim/sweep.hh"
 
@@ -48,7 +47,7 @@ struct SweepService::Impl
     // ---- construction-time state ------------------------------------
 
     ServiceOptions opts;
-    ResultStore store;
+    RunStore store;
     /** One cache across every batch the executor runs, so repeated
      *  grids share compiles/profiles/streams like one big sweep. */
     WorkloadCache cache{WorkloadCache::defaultStreamCacheBytes};
@@ -428,9 +427,9 @@ struct SweepService::Impl
 
         std::vector<std::string> keys;
         std::vector<std::optional<std::string>> cached;
-        keys.reserve(req.runs.size());
-        for (const RunSpec &spec : req.runs) {
-            keys.push_back(runSpecKey(spec));
+        keys.reserve(configs.size());
+        for (const ExperimentConfig &config : configs) {
+            keys.push_back(configKey(config));
             cached.push_back(store.get(keys.back()));
         }
 

@@ -23,16 +23,6 @@ constexpr const char *codeNames[] = {"protocol",     "oversized",
 static_assert(std::size(codeNames) ==
               static_cast<std::size_t>(ServiceError::Code::Draining) + 1);
 
-/** Scheme in canonical registry spelling; the raw text when it does
- *  not resolve (validation reports that separately). */
-std::string
-canonicalScheme(const std::string &scheme)
-{
-    if (std::optional<VpScheme> s = schemeForName(scheme))
-        return registryNameOf(*s);
-    return scheme;
-}
-
 // --- spec <-> JSON ---------------------------------------------------
 
 std::string
@@ -104,22 +94,13 @@ serviceCodeFromName(const std::string &name)
 std::string
 canonicalSpecText(const RunSpec &spec)
 {
-    // Frozen v1 grammar: bump the tag if a field is ever added, so old
-    // store entries can never alias new specs.
-    std::ostringstream os;
-    os << "rvp-spec-v1|" << spec.workload << '|'
-       << canonicalScheme(spec.scheme) << '|' << spec.assist << '|'
-       << spec.recovery << '|' << (spec.loadsOnly ? "loads" : "all")
-       << '|' << spec.insts << '|' << spec.profileInsts << '|'
-       << jsonNum(spec.profileThreshold) << '|' << spec.tableEntries
-       << '|' << spec.counterThreshold << '|' << spec.vpParams;
-    return os.str();
+    return canonicalConfigText(configForSpec(spec));
 }
 
 std::string
 runSpecKey(const RunSpec &spec)
 {
-    return hashHex(fnv1a(canonicalSpecText(spec)));
+    return configKey(configForSpec(spec));
 }
 
 ExperimentConfig

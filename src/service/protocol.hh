@@ -8,10 +8,10 @@
  * A client opens a connection and immediately receives a server hello
  * frame; it then sends any number of submit / status / shutdown
  * requests. Every submitted run is identified by a content-addressed
- * key — the FNV-1a hash of its canonical RunSpec text — which is also
- * the key of the daemon's persistent result store, so identical
- * requests from any client, at any time, before or after a daemon
- * crash, resolve to the same record bytes.
+ * key — configKey (sim/journal.hh) of the config its spec describes —
+ * which is also the key of the daemon's persistent result store, so
+ * identical requests from any client, at any time, before or after a
+ * daemon crash, resolve to the same record bytes.
  *
  * Every failure the daemon can hand back is a typed `error` frame with
  * a stable machine-readable code (ServiceError::Code); see
@@ -97,14 +97,15 @@ struct RunSpec
 };
 
 /**
- * Canonical text of a spec: the byte string whose FNV-1a hash is the
- * run's content-addressed key. Field order and formatting are frozen
- * (part of the store format); the scheme is canonicalized through the
- * registry first, so "drvp" and "rvp-dynamic" share a key.
+ * canonicalConfigText(configForSpec(spec)): a spec's config differs
+ * from ExperimentConfig{} only in spec fields, so this is the frozen
+ * `rvp-spec-v1` text (part of the store format). The scheme is written
+ * by its registry name, so "drvp" and "rvp-dynamic" share a key.
+ * Throws ConfigError where configForSpec does.
  */
 std::string canonicalSpecText(const RunSpec &spec);
 
-/** Content-addressed run key: hashHex(fnv1a(canonicalSpecText)). */
+/** The spec's run key: configKey(configForSpec(spec)). */
 std::string runSpecKey(const RunSpec &spec);
 
 /**

@@ -10,13 +10,17 @@
 
 #include <atomic>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <stdexcept>
+#include <type_traits>
 
 #include "common/framing.hh"
 #include "common/jsonlite.hh"
 #include "common/logging.hh"
 #include "common/parse.hh"
+#include "sim/sweep.hh"
+#include "vp/registry.hh"
 
 namespace rvp
 {
@@ -81,55 +85,6 @@ fsyncParentDir(const std::string &path)
     bool ok = fsync(dirfd) == 0;
     close(dirfd);
     return ok;
-}
-
-int
-openAppendLog(const std::string &path, bool *created)
-{
-    struct stat st;
-    bool existed = stat(path.c_str(), &st) == 0;
-    int fd = open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC,
-                  0644);
-    if (fd < 0)
-        return -1;
-    if (created)
-        *created = !existed;
-    char last = '\n';
-    int rfd = existed && st.st_size > 0
-                  ? open(path.c_str(), O_RDONLY | O_CLOEXEC)
-                  : -1;
-    if (rfd >= 0) {
-        if (pread(rfd, &last, 1, st.st_size - 1) != 1)
-            last = '\n';
-        close(rfd);
-    }
-    bool ok = existed ? last == '\n' ||
-                            (writeAll(fd, "\n", 1) && fsync(fd) == 0)
-                      : fsyncParentDir(path);
-    if (!ok)
-        warn("cannot %s '%s': %s",
-             existed ? "heal the torn tail of" : "fsync the directory of",
-             path.c_str(), std::strerror(errno));
-    return fd;
-}
-
-std::size_t
-replayJsonLines(const std::string &path,
-                const std::function<void(const JsonObject &)> &onLine)
-{
-    std::size_t skipped = 0;
-    std::ifstream is(path, std::ios::binary);
-    std::string line;
-    while (is && std::getline(is, line)) {
-        if (line.empty())
-            continue;
-        try {
-            onLine(parseJsonLine(line));
-        } catch (const std::exception &) {
-            ++skipped;
-        }
-    }
-    return skipped;
 }
 
 void
@@ -203,49 +158,6 @@ appendLineAtomic(const std::string &path, const std::string &line)
     return writeFileAtomic(path, existing);
 }
 
-// ---------------------------------------------------------------------
-// Journal append side
-// ---------------------------------------------------------------------
-
-RunJournal::RunJournal(const std::string &path)
-    : path_(path), fd_(openAppendLog(path))
-{
-    if (fd_ < 0)
-        warn("cannot open run journal '%s': %s", path.c_str(),
-             std::strerror(errno));
-}
-
-RunJournal::~RunJournal()
-{
-    if (fd_ >= 0)
-        close(fd_);
-}
-
-void
-RunJournal::writeLine(const std::string &line)
-{
-    if (fd_ < 0)
-        return;
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::string buf = line;
-    buf += '\n';
-    if (!writeAll(fd_, buf.data(), buf.size())) {
-        warn("run journal write failed: %s", std::strerror(errno));
-        return;
-    }
-    // The fsync is the crash-safety contract: once append() returns,
-    // the record survives a SIGKILL of this process.
-    if (fsync(fd_) != 0)
-        warn("run journal fsync failed: %s", std::strerror(errno));
-}
-
-void
-RunJournal::appendSweepHeader(const std::string &sweepHash)
-{
-    writeLine("{\"type\": \"sweep\", \"version\": 1, \"sweep_hash\": \"" +
-              jsonEscape(sweepHash) + "\"}");
-}
-
 std::string
 encodeJournalRecord(const JournalRecord &rec)
 {
@@ -280,41 +192,6 @@ encodeJournalRecord(const JournalRecord &rec)
     return os.str();
 }
 
-namespace
-{
-
-/** Field extraction shared by load() and parseJournalRunLine(); the
- *  caller has already checked type == "run". Throws on any missing or
- *  mistyped field (jsonGet's contract). */
-JournalRecord
-recordFromJson(const JsonObject &obj)
-{
-    JournalRecord rec;
-    rec.key = jsonGet<std::string>(obj, "key");
-    rec.figure = jsonGet<std::string>(obj, "figure");
-    rec.variant = jsonGet<std::string>(obj, "variant");
-    rec.workload = jsonGet<std::string>(obj, "workload");
-    rec.runSeconds = jsonGet<double>(obj, "run_seconds");
-    ExperimentResult &r = rec.result;
-    r.ipc = jsonGet<double>(obj, "ipc");
-    r.cycles = jsonGet<std::uint64_t>(obj, "cycles");
-    r.committed = jsonGet<std::uint64_t>(obj, "committed");
-    r.predictedFrac = jsonGet<double>(obj, "predicted_frac");
-    r.accuracy = jsonGet<double>(obj, "accuracy");
-    r.reallocFailed = jsonGet<bool>(obj, "realloc_failed");
-    r.hostSeconds = jsonGet<double>(obj, "host_seconds");
-    r.kips = jsonGet<double>(obj, "kips");
-    r.failed = jsonGet<bool>(obj, "failed");
-    r.error = jsonGet<std::string>(obj, "error");
-    r.retries = jsonGet<unsigned>(obj, "retries");
-    r.degraded = jsonGet<bool>(obj, "degraded");
-    for (const auto &[name, value] : jsonField(obj, "stats").obj)
-        r.stats.set(name, value.get<double>(name.c_str()));
-    return rec;
-}
-
-} // namespace
-
 std::optional<JournalRecord>
 parseJournalRunLine(const std::string &line)
 {
@@ -322,53 +199,347 @@ parseJournalRunLine(const std::string &line)
         JsonObject obj = parseJsonLine(line);
         if (jsonGet<std::string>(obj, "type") != "run")
             return std::nullopt;
-        return recordFromJson(obj);
+        JournalRecord rec;
+        rec.key = jsonGet<std::string>(obj, "key");
+        rec.figure = jsonGet<std::string>(obj, "figure");
+        rec.variant = jsonGet<std::string>(obj, "variant");
+        rec.workload = jsonGet<std::string>(obj, "workload");
+        rec.runSeconds = jsonGet<double>(obj, "run_seconds");
+        ExperimentResult &r = rec.result;
+        r.ipc = jsonGet<double>(obj, "ipc");
+        r.cycles = jsonGet<std::uint64_t>(obj, "cycles");
+        r.committed = jsonGet<std::uint64_t>(obj, "committed");
+        r.predictedFrac = jsonGet<double>(obj, "predicted_frac");
+        r.accuracy = jsonGet<double>(obj, "accuracy");
+        r.reallocFailed = jsonGet<bool>(obj, "realloc_failed");
+        r.hostSeconds = jsonGet<double>(obj, "host_seconds");
+        r.kips = jsonGet<double>(obj, "kips");
+        r.failed = jsonGet<bool>(obj, "failed");
+        r.error = jsonGet<std::string>(obj, "error");
+        r.retries = jsonGet<unsigned>(obj, "retries");
+        r.degraded = jsonGet<bool>(obj, "degraded");
+        for (const auto &[name, value] : jsonField(obj, "stats").obj)
+            r.stats.set(name, value.get<double>(name.c_str()));
+        return rec;
     } catch (const std::exception &) {
         return std::nullopt;
     }
 }
 
-void
-RunJournal::append(const JournalRecord &rec)
-{
-    writeLine(encodeJournalRecord(rec));
-}
-
 // ---------------------------------------------------------------------
-// Journal load side: lines are parsed with the shared single-line JSON
-// parser (common/jsonlite.hh), which throws on any deviation — a torn
-// line from a killed writer, hand-edited garbage — and load() skips
-// the line rather than aborting the resume.
+// Run identity
 // ---------------------------------------------------------------------
 
-RunJournal::Loaded
-RunJournal::load(const std::string &path)
+namespace
 {
-    Loaded out;
-    out.skippedLines = replayJsonLines(path, [&](const JsonObject &obj) {
-        std::string type = jsonGet<std::string>(obj, "type");
-        if (type == "sweep") {
-            out.sweepHash = jsonGet<std::string>(obj, "sweep_hash");
-        } else if (type == "run") {
-            JournalRecord rec = recordFromJson(obj);
-            out.runs.insert_or_assign(rec.key, std::move(rec));
-        } else {
-            throw std::runtime_error("unknown record type");
+
+/** Text of a field value: %.17g doubles, true/false, decimal
+ *  integers; a string with `\` and `|` escaped, so no value can
+ *  forge a field boundary. */
+template <typename T>
+std::string
+fieldText(const T &value)
+{
+    if constexpr (std::is_same_v<T, bool>) {
+        return value ? "true" : "false";
+    } else if constexpr (std::is_same_v<T, double>) {
+        return jsonNum(value);
+    } else if constexpr (std::is_same_v<T, std::string>) {
+        std::string out;
+        for (char c : value) {
+            if (c == '\\' || c == '|')
+                out += '\\';
+            out += c;
         }
-    });
-    return out;
+        return out;
+    } else {
+        return std::to_string(value);
+    }
 }
 
-RunJournal::Loaded
-loadJournalForResume(const std::string &path, const std::string &sweepHash)
+/** The leading configFields() rows the frozen v1 text always writes. */
+constexpr std::size_t frozenSpecFields = 11;
+
+} // namespace
+
+// A row whose text is fieldText of c.member; and a cache's four rows.
+#define RVP_FIELD(name, member)                                         \
+    ConfigField                                                         \
+    {                                                                   \
+        name, [](const ExperimentConfig &c) {                           \
+            return fieldText(c.member);                                 \
+        }                                                               \
+    }
+#define RVP_CACHE_FIELDS(cache)                                         \
+    RVP_FIELD(#cache "_name", core.mem.cache.name),                     \
+    RVP_FIELD(#cache "_size_bytes", core.mem.cache.sizeBytes),          \
+    RVP_FIELD(#cache "_assoc", core.mem.cache.assoc),                   \
+    RVP_FIELD(#cache "_line_bytes", core.mem.cache.lineBytes)
+
+const std::vector<ConfigField> &
+configFields()
 {
-    RunJournal::Loaded loaded = RunJournal::load(path);
-    if (!loaded.sweepHash.empty() && loaded.sweepHash != sweepHash)
-        throw std::runtime_error(
-            "journal '" + path + "' belongs to a different sweep "
-            "configuration (hash " + loaded.sweepHash + " != " + sweepHash +
-            "); rerun without --resume");
-    return loaded;
+    using C = const ExperimentConfig &;
+    static const std::vector<ConfigField> fields = {
+        // The frozen rvp-spec-v1 fields, in their order and spelling.
+        {"workload", [](C c) { return c.workload; }},
+        {"scheme",
+         [](C c) { return std::string(registryNameOf(c.scheme)); }},
+        {"assist", [](C c) { return std::string(assistName(c.assist)); }},
+        {"recovery",
+         [](C c) { return std::string(recoveryName(c.core.recovery)); }},
+        {"loads_only",
+         [](C c) { return std::string(c.loadsOnly ? "loads" : "all"); }},
+        RVP_FIELD("insts", core.maxInsts),
+        RVP_FIELD("profile_insts", profileInsts),
+        RVP_FIELD("profile_threshold", profileThreshold),
+        RVP_FIELD("table_entries", tableEntries),
+        RVP_FIELD("counter_threshold", counterThreshold),
+        {"vp_params", [](C c) { return c.vpParams; }},
+        // Written only when they differ from ExperimentConfig{}.
+        RVP_FIELD("realistic_realloc", realisticRealloc),
+        RVP_FIELD("tagged_rvp", taggedRvp),
+        RVP_FIELD("fetch_width", core.fetchWidth),
+        RVP_FIELD("fetch_blocks", core.fetchBlocks),
+        RVP_FIELD("front_depth", core.frontDepth),
+        RVP_FIELD("rename_width", core.renameWidth),
+        RVP_FIELD("commit_width", core.commitWidth),
+        RVP_FIELD("int_iq_entries", core.intIqEntries),
+        RVP_FIELD("fp_iq_entries", core.fpIqEntries),
+        RVP_FIELD("int_fus", core.intFus),
+        RVP_FIELD("ldst_ports", core.ldstPorts),
+        RVP_FIELD("fp_fus", core.fpFus),
+        RVP_FIELD("rob_entries", core.robEntries),
+        RVP_FIELD("phys_int_regs", core.physIntRegs),
+        RVP_FIELD("phys_fp_regs", core.physFpRegs),
+        RVP_FIELD("lsq_entries", core.lsqEntries),
+        RVP_FIELD("collect_hist", core.collectHist),
+        RVP_CACHE_FIELDS(l1i),
+        RVP_CACHE_FIELDS(l1d),
+        RVP_CACHE_FIELDS(l2),
+        RVP_FIELD("l1_hit_latency", core.mem.l1HitLatency),
+        RVP_FIELD("l1_miss_penalty", core.mem.l1MissPenalty),
+        RVP_FIELD("l2_miss_penalty", core.mem.l2MissPenalty),
+        RVP_FIELD("bp_pht_entries", core.bp.phtEntries),
+        RVP_FIELD("bp_btb_entries", core.bp.btbEntries),
+        RVP_FIELD("bp_ras_entries", core.bp.rasEntries),
+        RVP_FIELD("bp_history_bits", core.bp.historyBits),
+        RVP_FIELD("trace_out", traceOut),
+        RVP_FIELD("trace_sample", traceSample),
+    };
+    return fields;
+}
+
+#undef RVP_CACHE_FIELDS
+#undef RVP_FIELD
+
+std::string
+canonicalConfigText(const ExperimentConfig &config)
+{
+    const std::vector<ConfigField> &fields = configFields();
+    static const std::vector<std::string> defaults = [&fields] {
+        std::vector<std::string> texts;
+        for (const ConfigField &field : fields)
+            texts.push_back(field.format(ExperimentConfig{}));
+        return texts;
+    }();
+    std::string text = "rvp-spec-v1";
+    for (std::size_t i = 0; i < fields.size(); ++i) {
+        std::string value = fields[i].format(config);
+        if (i < frozenSpecFields)
+            text += '|' + value;
+        else if (value != defaults[i])
+            text += '|' + std::string(fields[i].name) + '=' + value;
+    }
+    return text;
+}
+
+std::string
+configKey(const ExperimentConfig &config)
+{
+    return hashHex(fnv1a(canonicalConfigText(config)));
+}
+
+// ---------------------------------------------------------------------
+// Run store
+// ---------------------------------------------------------------------
+
+namespace
+{
+
+/** Open path to append fsync'd lines. A new file's directory entry
+ *  is fsync'd; an existing file's torn last line (a SIGKILL
+ *  mid-append) is ended first, so the next line is not spliced onto
+ *  it. Returns the fd or -1 (errno set). */
+int
+openAppendLog(const std::string &path, bool *created)
+{
+    struct stat st;
+    bool existed = stat(path.c_str(), &st) == 0;
+    int fd = open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC,
+                  0644);
+    if (fd < 0)
+        return -1;
+    if (created)
+        *created = !existed;
+    char last = '\n';
+    int rfd = existed && st.st_size > 0
+                  ? open(path.c_str(), O_RDONLY | O_CLOEXEC)
+                  : -1;
+    if (rfd >= 0) {
+        if (pread(rfd, &last, 1, st.st_size - 1) != 1)
+            last = '\n';
+        close(rfd);
+    }
+    bool ok = existed ? last == '\n' ||
+                            (writeAll(fd, "\n", 1) && fsync(fd) == 0)
+                      : fsyncParentDir(path);
+    if (!ok)
+        warn("cannot %s '%s': %s",
+             existed ? "heal the torn tail of" : "fsync the directory of",
+             path.c_str(), std::strerror(errno));
+    return fd;
+}
+
+/** Hand onLine each non-empty line of the JSONL file at path, parsed,
+ *  in order; returns how many lines failed to parse or made onLine
+ *  throw (a torn tail, garbage), which are skipped. */
+std::size_t
+replayJsonLines(const std::string &path,
+                const std::function<void(const JsonObject &)> &onLine)
+{
+    std::size_t skipped = 0;
+    std::ifstream is(path, std::ios::binary);
+    std::string line;
+    while (is && std::getline(is, line)) {
+        if (line.empty())
+            continue;
+        try {
+            onLine(parseJsonLine(line));
+        } catch (const std::exception &) {
+            ++skipped;
+        }
+    }
+    return skipped;
+}
+
+std::string
+putLine(const std::string &key, const std::string &recordLine)
+{
+    return "{\"type\": \"put\", \"key\": \"" + jsonEscape(key) +
+           "\", \"record\": \"" + jsonEscape(recordLine) + "\"}";
+}
+
+const char *const storeHeader = "{\"type\": \"store\", \"version\": 1}";
+
+} // namespace
+
+RunStore::RunStore(const std::string &path) : path_(path)
+{
+    // Replay whatever survives on disk first: later duplicates win
+    // (a compacted file has none); torn or corrupt lines — the
+    // possible last line of a SIGKILLed writer — and lines of any
+    // other format are counted and skipped.
+    skipped_ = replayJsonLines(path, [&](const JsonObject &obj) {
+        std::string type = jsonGet<std::string>(obj, "type");
+        if (type == "put")
+            entries_.insert_or_assign(jsonGet<std::string>(obj, "key"),
+                                      jsonGet<std::string>(obj, "record"));
+        else if (type != "store")
+            throw std::runtime_error("unknown store line");
+    });
+    recovered_ = entries_.size();
+
+    bool created = false;
+    fd_ = openAppendLog(path, &created);
+    if (fd_ < 0) {
+        warn("cannot open run store '%s': %s", path.c_str(),
+             std::strerror(errno));
+    } else if (created) {
+        std::lock_guard<std::mutex> lock(mutex_);
+        if (!appendLineLocked(storeHeader))
+            warn("cannot initialize run store '%s': %s", path.c_str(),
+                 std::strerror(errno));
+    }
+}
+
+RunStore::~RunStore()
+{
+    if (fd_ >= 0)
+        close(fd_);
+}
+
+bool
+RunStore::appendLineLocked(const std::string &line)
+{
+    if (fd_ < 0)
+        return false;
+    std::string buf = line;
+    buf += '\n';
+    if (!writeAll(fd_, buf.data(), buf.size()))
+        return false;
+    // The fsync is the crash-safety contract: once put() returns, the
+    // line survives a SIGKILL of this process.
+    return fsync(fd_) == 0;
+}
+
+std::optional<std::string>
+RunStore::get(const std::string &key) const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    auto it = entries_.find(key);
+    if (it == entries_.end())
+        return std::nullopt;
+    return it->second;
+}
+
+bool
+RunStore::put(const std::string &key, const std::string &recordLine)
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (!appendLineLocked(putLine(key, recordLine))) {
+        warn("run store '%s': append failed for key %s: %s",
+             path_.c_str(), key.c_str(), std::strerror(errno));
+        return false;
+    }
+    entries_.insert_or_assign(key, recordLine);
+    return true;
+}
+
+std::size_t
+RunStore::size() const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    return entries_.size();
+}
+
+bool
+RunStore::compact()
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    std::ostringstream os;
+    os << storeHeader << '\n';
+    for (const auto &[key, record] : entries_)
+        os << putLine(key, record) << '\n';
+    // A path replaced since startup is left alone (the artifact rule).
+    try {
+        if (!writeFileAtomic(path_, os.str()))
+            return false;
+    } catch (const ConfigError &e) {
+        warn("run store not compacted: %s", e.what());
+        return false;
+    }
+    // Re-point the append fd at the new file; appends to the old
+    // inode would be silently lost.
+    if (fd_ >= 0)
+        close(fd_);
+    fd_ = open(path_.c_str(), O_WRONLY | O_APPEND | O_CLOEXEC);
+    if (fd_ < 0) {
+        warn("cannot reopen run store '%s' after compaction: %s",
+             path_.c_str(), std::strerror(errno));
+        return false;
+    }
+    return true;
 }
 
 } // namespace rvp

@@ -1,17 +1,16 @@
 /**
  * @file
- * Crash-safe run journal for sweeps. Every finished run (success or
- * recorded failure) is appended to a side file as one JSONL record,
- * flushed and fsync'd before the scheduler moves on, keyed by an
- * FNV-1a hash of the run's identity. A killed sweep therefore loses at
- * most the runs that were in flight: `sweep_all --resume` loads the
- * journal, skips every run journaled as successful, re-runs the rest,
- * and assembles a final output bit-identical to an uninterrupted sweep
- * (host-timing fields are carried in the journal so even they survive).
+ * A run's identity and its durable record. Every run is keyed by its
+ * whole configuration: configKey() hashes canonicalConfigText(), which
+ * one table (configFields) builds from every ExperimentConfig field
+ * that can change a result. One RunStore persists finished runs under
+ * those keys: sweep_all's `<out>.journal` (a killed sweep resumes by
+ * looking each run's key up) and the sweep service's result store
+ * (service/store.hh) are both RunStores.
  *
  * Durability recipe:
- *  - journal appends: O_APPEND write of one full line + fsync, so a
- *    crash can tear at most the final line, and load() skips torn or
+ *  - store puts: O_APPEND write of one full line + fsync, so a crash
+ *    can tear at most the final line, and the replay skips torn or
  *    corrupt lines instead of failing;
  *  - final artifacts (results JSON, bench rows): write-temp-then-
  *    rename(2) in the target directory (writeFileAtomic), so readers
@@ -22,14 +21,13 @@
 #define RVP_SIM_JOURNAL_HH
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <vector>
 
-#include "common/jsonlite.hh"
 #include "sim/runner.hh"
 
 namespace rvp
@@ -61,21 +59,6 @@ std::string jsonNum(double value);
 bool fsyncParentDir(const std::string &path);
 
 /**
- * Open path to append fsync'd lines (RunJournal, ResultStore). A new
- * file's directory entry is fsync'd; an existing file's torn last line
- * (a SIGKILL mid-append) is ended first, so the next line is not
- * spliced onto it. Returns the fd or -1 (errno set).
- */
-int openAppendLog(const std::string &path, bool *created = nullptr);
-
-/** Hand onLine each non-empty line of the JSONL file at path, parsed,
- *  in order; returns how many lines failed to parse or made onLine
- *  throw (a torn tail, garbage), which are skipped. */
-std::size_t replayJsonLines(
-    const std::string &path,
-    const std::function<void(const JsonObject &)> &onLine);
-
-/**
  * The rule for every artifact path (reports, bench rows, traces,
  * sweepctl records): a path that exists and is not a regular file is
  * refused, never replaced. Throws ConfigError naming what and path
@@ -102,11 +85,11 @@ bool writeFileAtomic(const std::string &path, const std::string &contents);
  */
 bool appendLineAtomic(const std::string &path, const std::string &line);
 
-/** One journaled run: identity key plus everything the final report
- *  needs to reprint the run without re-executing it. */
+/** One finished run: its key (configKey) plus everything the final
+ *  report needs to reprint the run without re-executing it. */
 struct JournalRecord
 {
-    std::string key;        ///< hashHex of the run identity
+    std::string key;        ///< configKey of the run
     std::string figure;     ///< human context (not used for matching)
     std::string variant;
     std::string workload;
@@ -116,80 +99,130 @@ struct JournalRecord
 
 /**
  * Serialize one record to its canonical journal line (no trailing
- * newline). This is THE byte format: RunJournal::append writes it,
- * the sweep-service result store persists it verbatim, and service
- * clients receive the stored bytes unchanged — so "byte-identical
- * across a daemon restart" is a property of the store, not of
- * re-serialization.
+ * newline). This is THE byte format: every RunStore persists it
+ * verbatim, and service clients receive the stored bytes unchanged —
+ * so "byte-identical across a daemon restart" is a property of the
+ * store, not of re-serialization.
  */
 std::string encodeJournalRecord(const JournalRecord &rec);
 
-/**
- * Parse one line as a `type:"run"` journal record. Returns nullopt on
- * anything else — torn trailing lines, corruption, header lines —
- * mirroring RunJournal::load's skip-don't-abort contract.
- */
+/** Parse one line as a `type:"run"` journal record; nullopt on
+ *  anything else (torn or corrupt text, another line type). */
 std::optional<JournalRecord> parseJournalRunLine(const std::string &line);
 
+/** One row of the run identity: a field's name and its text. */
+struct ConfigField
+{
+    const char *name;
+    std::string (*format)(const ExperimentConfig &);
+};
+
 /**
- * Append-side journal handle. Thread safe: append() serializes under
- * an internal mutex, and each record is one write(2) of a full line
- * followed by fsync(2), so concurrent sweep workers cannot interleave
- * bytes and a SIGKILL can tear at most the line in flight.
+ * Every ExperimentConfig field that can change a run's result, one
+ * row each, in canonical-text order: first the eleven fields of the
+ * frozen `rvp-spec-v1` text (the RunSpec fields, service/protocol.hh),
+ * then the rest. A field added to ExperimentConfig needs a row here,
+ * or runs that differ in it share a key.
  */
-class RunJournal
+const std::vector<ConfigField> &configFields();
+
+/**
+ * Canonical text of a config: `rvp-spec-v1|` and the frozen fields'
+ * values joined by `|`, then `|name=value` for each later field whose
+ * value differs from ExperimentConfig{}'s. A config a RunSpec can
+ * express writes only the frozen fields, so its key is the v1 key that
+ * existing stores hold. No field is normalized away, not even one the
+ * scheme ignores.
+ */
+std::string canonicalConfigText(const ExperimentConfig &config);
+
+/** A run's identity: hashHex(fnv1a(canonicalConfigText(config))). */
+std::string configKey(const ExperimentConfig &config);
+
+/**
+ * The durable run store: a map from run key to the exact record line
+ * (encodeJournalRecord) the run produced, kept in a crash-safe JSONL
+ * file:
+ *   {"type": "store", "version": 1}          — header, written once
+ *   {"type": "put", "key": "...", "record": "<escaped record line>"}
+ * The constructor replays the file: a later duplicate of a key wins,
+ * and a torn or corrupt line (a SIGKILL mid-append, garbage, a line of
+ * another format) is skipped and counted, never fatal. A torn last
+ * line is ended before the first new put, so the put is not spliced
+ * onto it. Thread safe: sweep workers put concurrently, and each put
+ * is one write of a full line followed by an fsync.
+ */
+class RunStore
 {
   public:
-    /** Opens (creating or appending) the journal at path. */
-    explicit RunJournal(const std::string &path);
-    ~RunJournal();
+    /** Opens (creating or replaying) the store at path. */
+    explicit RunStore(const std::string &path);
+    ~RunStore();
 
-    RunJournal(const RunJournal &) = delete;
-    RunJournal &operator=(const RunJournal &) = delete;
+    RunStore(const RunStore &) = delete;
+    RunStore &operator=(const RunStore &) = delete;
 
     bool ok() const { return fd_ >= 0; }
     const std::string &path() const { return path_; }
 
-    /** Sweep-identity header: --resume refuses a journal whose sweep
-     *  hash does not match the current invocation's options. */
-    void appendSweepHeader(const std::string &sweepHash);
-
-    /** Append one finished run (fsync'd before returning). */
-    void append(const JournalRecord &rec);
-
-    /** Everything load() recovered from a journal file. */
-    struct Loaded
-    {
-        std::string sweepHash;   ///< empty when no header line survived
-        std::map<std::string, JournalRecord> runs;  ///< by identity key
-        std::size_t skippedLines = 0;  ///< torn / corrupt lines ignored
-    };
+    /** Stored record line for key, if any (the exact bytes put()). */
+    std::optional<std::string> get(const std::string &key) const;
 
     /**
-     * Parse a journal file. Missing file -> empty result. Torn or
-     * corrupt lines (the possible last line of a killed process) are
-     * counted in skippedLines and otherwise ignored; a duplicate key
-     * keeps the later record (a resumed sweep may re-run a previously
-     * failed run and journal it again).
+     * Persist key -> recordLine (fsync'd before returning; on the
+     * first put of a fresh file the directory entry is fsync'd too).
+     * Returns false when the append failed — the entry is then NOT
+     * added to the in-memory map either, so the store never claims
+     * durability it does not have.
      */
-    static Loaded load(const std::string &path);
+    bool put(const std::string &key, const std::string &recordLine);
+
+    /** Entries resident now. */
+    std::size_t size() const;
+
+    /** Entries recovered by the constructor's replay. */
+    std::size_t recovered() const { return recovered_; }
+
+    /** Torn / corrupt lines skipped by the replay. */
+    std::size_t skippedLines() const { return skipped_; }
+
+    /**
+     * Rewrite the file as header + one put line per surviving key
+     * (atomic via writeFileAtomic), dropping superseded duplicates.
+     * The append fd is reopened on the new file. Safe to call at any
+     * quiet point; the daemon compacts on graceful shutdown. False
+     * (warned) on an I/O error or a path no longer a regular file.
+     */
+    bool compact();
 
   private:
-    void writeLine(const std::string &line);
+    bool appendLineLocked(const std::string &line);
 
+    mutable std::mutex mutex_;
     std::string path_;
     int fd_ = -1;
-    std::mutex mutex_;
+    std::map<std::string, std::string> entries_;
+    std::size_t recovered_ = 0;
+    std::size_t skipped_ = 0;
 };
 
-/**
- * RunJournal::load() for a resumed sweep: throws std::runtime_error
- * when the journal's header names a sweep hash other than sweepHash,
- * so no run of a different configuration is merged into this one. A
- * journal whose header did not survive (only run lines) is accepted.
- */
-RunJournal::Loaded loadJournalForResume(const std::string &path,
-                                        const std::string &sweepHash);
+/** A RunStore that takes whole JournalRecords (perfbench's grid
+ *  journals through it). */
+class RunJournal : public RunStore
+{
+  public:
+    using RunStore::RunStore;
+
+    /** Writes nothing: a record's key names its whole configuration,
+     *  so no sweep header guards a store. */
+    void appendSweepHeader(const std::string &) {}
+
+    /** put(rec.key, encodeJournalRecord(rec)), fsync'd on return. */
+    void append(const JournalRecord &rec)
+    {
+        put(rec.key, encodeJournalRecord(rec));
+    }
+};
 
 } // namespace rvp
 

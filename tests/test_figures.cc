@@ -4,16 +4,19 @@
  * the 308-run paper grid in report order, with each figure's variants,
  * workloads and config edits, and the renderer prints speedup and
  * coverage tables from results without deriving a number from a
- * failed run.
+ * failed run. Keyed by config (sim/journal.hh), the grid's repeated
+ * runs fold and no two configs that differ do.
  */
 
 #include <gtest/gtest.h>
 
 #include <map>
+#include <set>
 #include <sstream>
 
 #include "config_error.hh"
 #include "sim/figures.hh"
+#include "sim/journal.hh"
 #include "workloads/workloads.hh"
 
 namespace rvp
@@ -175,6 +178,56 @@ failedRun()
     r.failed = true;
     r.error = "boom";
     return r;
+}
+
+/** Config key of every run, by "figure/variant/workload". */
+std::map<std::string, std::string>
+keysByLabel(const std::vector<FigureRun> &runs)
+{
+    std::map<std::string, std::string> keys;
+    for (const FigureRun &run : runs)
+        keys[run.figure + "/" + run.variant + "/" + run.config.workload] =
+            configKey(run.config);
+    return keys;
+}
+
+std::size_t
+distinctKeys(const std::map<std::string, std::string> &keys)
+{
+    std::set<std::string> distinct;
+    for (const auto &[label, key] : keys)
+        distinct.insert(key);
+    return distinct.size();
+}
+
+TEST(FigureTable, RepeatedConfigsShareAKeyAndNoOthersDo)
+{
+    const std::vector<std::string> workloads = allWorkloadNames();
+    std::map<std::string, std::string> keys =
+        keysByLabel(expandFigures({}, workloads, budgets()));
+    ASSERT_EQ(keys.size(), 308u);
+    EXPECT_EQ(distinctKeys(keys), 220u);
+    EXPECT_EQ(keys.at("fig03/lvp/go"), keys.at("fig05/lvp/go"));
+    EXPECT_EQ(keys.at("fig03/no_predict/go"),
+              keys.at("fig05/no_predict/go"));
+    EXPECT_EQ(keys.at("table2/lvp/go"), keys.at("fig06/lvp_all/go"));
+    // Fields a RunSpec cannot express still separate runs: core
+    // geometry (fig08 is 16-wide) and the Section-7.3 re-allocation.
+    EXPECT_NE(keys.at("fig08/lvp_all/go"), keys.at("table2/lvp/go"));
+    EXPECT_NE(keys.at("fig07/drvp_all_dead_lv_realloc/li"),
+              keys.at("fig08/drvp_all/li"));
+    EXPECT_NE(keys.at("fig07/drvp_all_dead_lv_realloc/li"),
+              keys.at("fig06/drvp_all/li"));
+
+    // With the opt-in figures: tagged counters are not untagged ones.
+    std::vector<std::string> all;
+    for (const Figure &figure : paperFigures())
+        all.push_back(figure.id);
+    keys = keysByLabel(expandFigures(all, workloads, budgets()));
+    ASSERT_EQ(keys.size(), 443u);
+    EXPECT_EQ(distinctKeys(keys), 301u);
+    EXPECT_NE(keys.at("counters/tag-1K-t7/go"),
+              keys.at("counters/untag-1K-t7/go"));
 }
 
 TEST(FigureTable, RendererPrintsSpeedupAndCoverageAndMarksFailures)

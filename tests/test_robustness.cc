@@ -919,6 +919,21 @@ sampleRecord(const std::string &key, bool failed)
     return rec;
 }
 
+/** The record stored under key, decoded; nullopt when none is. */
+std::optional<JournalRecord>
+storedRecord(const RunStore &store, const std::string &key)
+{
+    std::optional<std::string> line = store.get(key);
+    return line ? parseJournalRunLine(*line) : std::nullopt;
+}
+
+std::size_t
+countLines(const std::string &text)
+{
+    return static_cast<std::size_t>(
+        std::count(text.begin(), text.end(), '\n'));
+}
+
 TEST(Journal, RecordsRoundTripBitExactly)
 {
     TempDir dir;
@@ -930,13 +945,17 @@ TEST(Journal, RecordsRoundTripBitExactly)
         journal.append(sampleRecord("k1", false));
         journal.append(sampleRecord("k2", true));
     }
-    RunJournal::Loaded loaded = RunJournal::load(path);
-    EXPECT_EQ(loaded.sweepHash, "cafebabe00000001");
-    EXPECT_EQ(loaded.skippedLines, 0u);
-    ASSERT_EQ(loaded.runs.size(), 2u);
+    // The sweep header writes nothing: the store header and two puts.
+    EXPECT_EQ(countLines(readFile(path)), 3u);
+    RunStore loaded(path);
+    EXPECT_EQ(loaded.skippedLines(), 0u);
+    ASSERT_EQ(loaded.size(), 2u);
 
     JournalRecord want = sampleRecord("k2", true);
-    const JournalRecord &got = loaded.runs.at("k2");
+    std::optional<JournalRecord> stored = storedRecord(loaded, "k2");
+    ASSERT_TRUE(stored.has_value());
+    const JournalRecord &got = *stored;
+    EXPECT_EQ(got.key, want.key);
     EXPECT_EQ(got.figure, want.figure);
     EXPECT_EQ(got.variant, want.variant);
     EXPECT_EQ(got.workload, want.workload);
@@ -962,12 +981,11 @@ TEST(Journal, TornTrailingLineIsSkippedNotFatal)
     std::string path = dir.file("sweep.journal");
     {
         RunJournal journal(path);
-        journal.appendSweepHeader("feedface00000001");
         journal.append(sampleRecord("k1", false));
         journal.append(sampleRecord("k2", false));
     }
     // Simulate a SIGKILL mid-append: chop the file mid-way through the
-    // final record.
+    // final put.
     std::string contents = readFile(path);
     ASSERT_FALSE(contents.empty());
     std::string torn = contents.substr(0, contents.size() - 40);
@@ -975,39 +993,41 @@ TEST(Journal, TornTrailingLineIsSkippedNotFatal)
         std::ofstream os(path, std::ios::binary | std::ios::trunc);
         os << torn;
     }
-    RunJournal::Loaded loaded = RunJournal::load(path);
-    EXPECT_EQ(loaded.sweepHash, "feedface00000001");
-    EXPECT_EQ(loaded.skippedLines, 1u);
-    ASSERT_EQ(loaded.runs.size(), 1u);
-    EXPECT_EQ(loaded.runs.count("k1"), 1u);
+    RunStore loaded(path);
+    EXPECT_EQ(loaded.skippedLines(), 1u);
+    ASSERT_EQ(loaded.size(), 1u);
+    EXPECT_TRUE(storedRecord(loaded, "k1").has_value());
 }
 
 TEST(Journal, AppendAfterATornTailKeepsBothRecords)
 {
-    // A killed sweep left a record torn mid-line. Reopening the
-    // journal for --resume must end that line before appending, or
-    // the new record is spliced onto it and lost on the next load.
+    // A killed sweep left a put torn mid-line. Reopening the journal
+    // for --resume must end that line before appending, or the new put
+    // is spliced onto it and lost on the next replay.
     TempDir dir;
     std::string path = dir.file("sweep.journal");
-    std::string torn = encodeJournalRecord(sampleRecord("torn", false));
     {
-        std::ofstream os(path, std::ios::binary);
-        os << "{\"type\": \"sweep\", \"version\": 1, "
-              "\"sweep_hash\": \"feedface00000002\"}\n"
-           << encodeJournalRecord(sampleRecord("k1", false)) << "\n"
-           << torn.substr(0, torn.size() / 2);
+        RunJournal journal(path);
+        journal.append(sampleRecord("k1", false));
+        journal.append(sampleRecord("torn", false));
+    }
+    std::string contents = readFile(path);
+    std::size_t last = contents.rfind('\n', contents.size() - 2) + 1;
+    {
+        std::ofstream os(path, std::ios::binary | std::ios::trunc);
+        os << contents.substr(0, last + (contents.size() - last) / 2);
     }
     {
         RunJournal journal(path);
         ASSERT_TRUE(journal.ok());
         journal.append(sampleRecord("k2", false));
     }
-    RunJournal::Loaded loaded = RunJournal::load(path);
-    EXPECT_EQ(loaded.sweepHash, "feedface00000002");
-    EXPECT_EQ(loaded.skippedLines, 1u);
-    ASSERT_EQ(loaded.runs.size(), 2u);
-    EXPECT_EQ(loaded.runs.count("k1"), 1u);
-    EXPECT_EQ(loaded.runs.count("k2"), 1u);
+    RunStore loaded(path);
+    EXPECT_EQ(loaded.skippedLines(), 1u);
+    ASSERT_EQ(loaded.size(), 2u);
+    EXPECT_TRUE(storedRecord(loaded, "k1").has_value());
+    EXPECT_TRUE(storedRecord(loaded, "k2").has_value());
+    EXPECT_FALSE(loaded.get("torn").has_value());
 }
 
 TEST(Journal, DuplicateKeysKeepTheLaterRecord)
@@ -1019,50 +1039,47 @@ TEST(Journal, DuplicateKeysKeepTheLaterRecord)
         journal.append(sampleRecord("k1", true));    // failed first try
         journal.append(sampleRecord("k1", false));   // resumed retry won
     }
-    RunJournal::Loaded loaded = RunJournal::load(path);
-    ASSERT_EQ(loaded.runs.size(), 1u);
-    EXPECT_FALSE(loaded.runs.at("k1").result.failed);
+    RunStore loaded(path);
+    ASSERT_EQ(loaded.size(), 1u);
+    std::optional<JournalRecord> rec = storedRecord(loaded, "k1");
+    ASSERT_TRUE(rec.has_value());
+    EXPECT_FALSE(rec->result.failed);
 }
 
 TEST(Journal, MissingFileLoadsEmpty)
 {
-    RunJournal::Loaded loaded =
-        RunJournal::load("/nonexistent-dir-zzz/nope.journal");
-    EXPECT_TRUE(loaded.sweepHash.empty());
-    EXPECT_TRUE(loaded.runs.empty());
-    EXPECT_EQ(loaded.skippedLines, 0u);
+    RunStore loaded("/nonexistent-dir-zzz/nope.journal");
+    EXPECT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.size(), 0u);
+    EXPECT_EQ(loaded.skippedLines(), 0u);
 }
 
-TEST(JournalMerge, MismatchedSweepHashRefusesTheMerge)
+TEST(JournalMerge, PreStoreJournalLinesAreSkipped)
 {
-    // --resume merges its journal through loadJournalForResume: a header
-    // naming another sweep refuses it; a lost header does not.
+    // A journal written before runs were keyed by config: a sweep
+    // header and `run` lines keyed by labels. Its lines are skipped,
+    // so no record of it is ever reused (every run executes), and the
+    // file takes new puts after them.
     TempDir dir;
-    auto write = [&dir](const std::string &hash, const std::string &key) {
-        std::string path = dir.file(key + ".journal");
-        RunJournal journal(path);
-        if (!hash.empty())
-            journal.appendSweepHeader(hash);
-        journal.append(sampleRecord(key, false));
-        return path;
-    };
-    std::string ours = write("cafe", "k1");
-    std::string alien = write("beef", "k2");
-    std::string headerless = write("", "k3");
-    EXPECT_EQ(loadJournalForResume(ours, "cafe").runs.count("k1"), 1u);
-    try {
-        loadJournalForResume(alien, "cafe");
-        FAIL() << "a journal of another sweep was accepted";
-    } catch (const std::runtime_error &e) {
-        EXPECT_NE(std::string(e.what()).find(
-                      "different sweep configuration (hash beef != cafe)"),
-                  std::string::npos)
-            << e.what();
+    std::string path = dir.file("old.journal");
+    {
+        std::ofstream os(path, std::ios::binary);
+        os << "{\"type\": \"sweep\", \"version\": 1, "
+              "\"sweep_hash\": \"cafebabe00000001\"}\n"
+           << encodeJournalRecord(sampleRecord("k1", false)) << "\n";
     }
-    EXPECT_EQ(loadJournalForResume(headerless, "cafe").runs.size(), 1u);
-    // No journal at all is an empty one, not a refusal.
-    EXPECT_TRUE(
-        loadJournalForResume(dir.file("none.journal"), "cafe").runs.empty());
+    {
+        RunJournal journal(path);
+        ASSERT_TRUE(journal.ok());
+        EXPECT_EQ(journal.skippedLines(), 2u);
+        EXPECT_EQ(journal.size(), 0u);
+        EXPECT_FALSE(journal.get("k1").has_value());
+        journal.append(sampleRecord("k2", false));
+    }
+    RunStore loaded(path);
+    EXPECT_EQ(loaded.skippedLines(), 2u);
+    ASSERT_EQ(loaded.size(), 1u);
+    EXPECT_TRUE(storedRecord(loaded, "k2").has_value());
 }
 
 // ---------------------------------------------------------------------
@@ -1117,6 +1134,8 @@ waitExit(pid_t pid)
     return -9998;
 }
 
+/** Puts in the run store at path so far, counted from the text: a
+ *  RunStore would heal the tail a live writer is still appending. */
 std::size_t
 countJournalRuns(const std::string &path)
 {
@@ -1124,7 +1143,7 @@ countJournalRuns(const std::string &path)
     std::size_t count = 0;
     std::string line;
     while (std::getline(is, line))
-        if (line.find("\"type\": \"run\"") != std::string::npos)
+        if (line.find("\"type\": \"put\"") != std::string::npos)
             ++count;
     return count;
 }
@@ -1210,19 +1229,61 @@ TEST(SweepAllResume, KillResumeSmokeLoopStaysByteIdentical)
     }
 }
 
-TEST(SweepAllResume, MismatchedJournalIsRefused)
+/** The stableSweepArgs grid at an --insts budget, as sweep_all
+ *  expands it. */
+std::vector<FigureRun>
+stableGrid(std::uint64_t insts = 12'000)
 {
+    ExperimentConfig base;
+    base.core.maxInsts = insts;
+    base.profileInsts = 12'000;
+    return expandFigures({"fig05"}, {"go", "mgrid"}, base);
+}
+
+/** Journal at path a success of IPC 0.125, which no real run
+ *  produces, under the config key of every run of grid. */
+void
+forgeSucceededJournal(const std::string &path,
+                      const std::vector<FigureRun> &grid)
+{
+    RunJournal journal(path);
+    ASSERT_TRUE(journal.ok());
+    for (const FigureRun &run : grid) {
+        JournalRecord rec;
+        rec.key = configKey(run.config);
+        rec.figure = run.figure;
+        rec.variant = run.variant;
+        rec.workload = run.config.workload;
+        rec.result.ipc = 0.125;
+        journal.append(rec);
+    }
+}
+
+std::size_t
+countOccurrences(const std::string &text, const std::string &needle)
+{
+    std::size_t count = 0;
+    for (std::size_t at = 0; (at = text.find(needle, at)) != std::string::npos;
+         at += needle.size())
+        ++count;
+    return count;
+}
+
+TEST(SweepAllResume, JournalFromAnotherInstsBudgetReusesNothing)
+{
+    // Records journaled at --insts 13000 carry other keys than this
+    // 12000-instruction grid's, though their labels match: a resume
+    // reuses none of them and runs every entry.
     TempDir dir;
     std::string out = dir.file("results.json");
-    // Forge a journal from a "different" sweep configuration.
-    {
-        RunJournal journal(out + ".journal");
-        journal.appendSweepHeader("0123456789abcdef");
-    }
+    forgeSucceededJournal(out + ".journal", stableGrid(13'000));
     std::vector<std::string> args = stableSweepArgs(out);
     args.push_back("--resume");
-    EXPECT_NE(waitExit(spawnSweepAll(args)), 0);
-    EXPECT_FALSE(std::filesystem::exists(out));
+    ASSERT_EQ(waitExit(spawnSweepAll(args)), 0);
+    std::string report = readFile(out);
+    EXPECT_EQ(countOccurrences(report, "\"ipc\": "), 10u) << report;
+    EXPECT_EQ(countOccurrences(report, "\"ipc\": 0.125,"), 0u) << report;
+    EXPECT_FALSE(std::filesystem::exists(out + ".journal"));
 }
 
 TEST(SweepAllResume, ResumeWithNoJournalIsRefused)
@@ -1251,63 +1312,49 @@ TEST(SweepAllResume, ResumeWithNoJournalIsRefused)
     EXPECT_EQ(readFile(journal_path), journal_before);
 }
 
-/** The journal (header plus one failed record per run) of a
- *  stableSweepArgs sweep whose runs all miss an impossible deadline. */
-RunJournal::Loaded
-failedSweepJournal(const std::string &out)
+/** The report row (one line) of figure/variant in report. */
+std::string
+reportRow(const std::string &report, const std::string &figure,
+          const std::string &variant)
 {
-    std::vector<std::string> args = stableSweepArgs(out);
-    args.insert(args.end(), {"--run-deadline", "0.000001", "--keep-going"});
-    EXPECT_EQ(waitExit(spawnSweepAll(args)), 0);
-    std::filesystem::remove(out);
-    return RunJournal::load(out + ".journal");
+    std::size_t at = report.find("{\"figure\": \"" + figure +
+                                 "\", \"variant\": \"" + variant + "\"");
+    if (at == std::string::npos)
+        return "";
+    return report.substr(at, report.find('\n', at) - at);
 }
 
-/** Rewrite path with header sweepHash (none when empty) and every run
- *  of loaded as a success of IPC 0.125, which no real run produces. */
-void
-writeSucceededJournal(const std::string &path, const std::string &sweepHash,
-                      const RunJournal::Loaded &loaded)
+TEST(Coordinator, ForgedFig03RecordsFillFig05SharedRows)
 {
-    std::filesystem::remove(path);
-    RunJournal journal(path);
-    ASSERT_TRUE(journal.ok());
-    if (!sweepHash.empty())
-        journal.appendSweepHeader(sweepHash);
-    for (auto [key, rec] : loaded.runs) {
-        rec.result = ExperimentResult{};
-        rec.result.ipc = 0.125;
-        journal.append(rec);
-    }
-}
-
-std::size_t
-countOccurrences(const std::string &text, const std::string &needle)
-{
-    std::size_t count = 0;
-    for (std::size_t at = 0; (at = text.find(needle, at)) != std::string::npos;
-         at += needle.size())
-        ++count;
-    return count;
-}
-
-TEST(Coordinator, WrongSweepHashAbortsTheWholeSweep)
-{
-    // A journal of another sweep configuration is refused whole, even
-    // when its records claim every run of this grid: no run executes,
-    // nothing is appended, and no report is written.
+    // fig05's no_predict and lvp runs have fig03's configs, so a
+    // journal holding only fig03's records, under their config keys,
+    // fills exactly those two fig05 rows on --resume; the other three
+    // runs execute.
     TempDir dir;
     std::string out = dir.file("results.json");
-    std::string journal_path = out + ".journal";
-    RunJournal::Loaded loaded = failedSweepJournal(out);
-    ASSERT_EQ(loaded.runs.size(), 10u);
-    writeSucceededJournal(journal_path, "0123456789abcdef", loaded);
-    std::string journal_before = readFile(journal_path);
-    std::vector<std::string> args = stableSweepArgs(out);
-    args.push_back("--resume");
-    EXPECT_EQ(waitExit(spawnSweepAll(args)), 1);
-    EXPECT_FALSE(std::filesystem::exists(out));
-    EXPECT_EQ(readFile(journal_path), journal_before);
+    ExperimentConfig base;
+    base.core.maxInsts = 12'000;
+    base.profileInsts = 12'000;
+    forgeSucceededJournal(out + ".journal",
+                          expandFigures({"fig03"}, {"go"}, base));
+    std::vector<std::string> args = {
+        "--workloads", "go",    "--figures",       "fig05",
+        "--insts",     "12000", "--profile-insts", "12000",
+        "--jobs",      "1",     "--quiet",         "--stable-output",
+        "--bench-out", "",      "--out",           out,
+        "--resume"};
+    ASSERT_EQ(waitExit(spawnSweepAll(args)), 0);
+    std::string report = readFile(out);
+    EXPECT_EQ(countOccurrences(report, "\"ipc\": 0.125,"), 2u) << report;
+    for (const char *variant :
+         {"no_predict", "lvp", "drvp", "drvp_dead", "drvp_dead_lv"}) {
+        std::string row = reportRow(report, "fig05", variant);
+        ASSERT_FALSE(row.empty()) << variant;
+        bool forged = std::string(variant) == "no_predict" ||
+                      std::string(variant) == "lvp";
+        EXPECT_EQ(row.find("\"ipc\": 0.125,") != std::string::npos, forged)
+            << row;
+    }
 }
 
 TEST(Coordinator, EmptyUnitListIsTrivialSuccess)
@@ -1317,10 +1364,7 @@ TEST(Coordinator, EmptyUnitListIsTrivialSuccess)
     // the journal alone, and the spent journal is removed.
     TempDir dir;
     std::string out = dir.file("results.json");
-    RunJournal::Loaded loaded = failedSweepJournal(out);
-    ASSERT_EQ(loaded.runs.size(), 10u);
-    ASSERT_FALSE(loaded.sweepHash.empty());
-    writeSucceededJournal(out + ".journal", loaded.sweepHash, loaded);
+    forgeSucceededJournal(out + ".journal", stableGrid());
     std::vector<std::string> args = stableSweepArgs(out);
     args.push_back("--resume");
     EXPECT_EQ(waitExit(spawnSweepAll(args)), 0);
@@ -1353,6 +1397,45 @@ TEST(SweepAllBenchRow, CarriesJobsThroughputAndPeakRss)
     EXPECT_GT(jsonGet<double>(obj, "aggregate_kips"), 0.0) << row;
     EXPECT_GT(jsonGet<double>(obj, "peak_rss_mb"), 0.0) << row;
     EXPECT_EQ(obj.count("workers"), 0u) << row;
+}
+
+TEST(SweepAllBenchRow, SharedConfigsRunOnceAndTheHashIgnoresFigureOrder)
+{
+    // fig03 and fig05 share their no_predict and lvp configs: 11 rows,
+    // 9 distinct runs, and each shared row equals its twin. The row's
+    // config_hash names the grid's configs, not the option text.
+    TempDir dir;
+    std::string bench = dir.file("bench.json");
+    auto sweep = [&](const std::string &figures, const std::string &out) {
+        std::vector<std::string> args{
+            "--workloads", "go",    "--figures",       figures,
+            "--insts",     "12000", "--profile-insts", "12000",
+            "--jobs",      "2",     "--quiet",         "--stable-output",
+            "--out",       out,     "--bench-out",     bench};
+        EXPECT_EQ(waitExit(spawnSweepAll(args)), 0);
+        return readFile(out);
+    };
+    std::string report = sweep("fig03,fig05", dir.file("a.json"));
+    EXPECT_EQ(sweep("fig05,fig03", dir.file("b.json")), report);
+
+    std::istringstream rows(readFile(bench));
+    std::vector<JsonObject> objs;
+    for (std::string line; std::getline(rows, line);)
+        objs.push_back(parseJsonLine(line));
+    ASSERT_EQ(objs.size(), 2u);
+    EXPECT_EQ(jsonGet<unsigned>(objs[0], "runs"), 11u);
+    EXPECT_EQ(jsonGet<unsigned>(objs[0], "distinct_runs"), 9u);
+    EXPECT_EQ(jsonGet<std::string>(objs[0], "config_hash"),
+              jsonGet<std::string>(objs[1], "config_hash"));
+
+    EXPECT_EQ(countOccurrences(report, "\"figure\": "), 11u) << report;
+    for (const char *variant : {"no_predict", "lvp"}) {
+        std::string a = reportRow(report, "fig03", variant);
+        std::string b = reportRow(report, "fig05", variant);
+        ASSERT_FALSE(a.empty()) << variant;
+        EXPECT_EQ(a.substr(a.find("\"workload\"")),
+                  b.substr(b.find("\"workload\"")));
+    }
 }
 
 TEST(SweepAllBenchRow, NoRowUnlessAsked)
@@ -1392,6 +1475,19 @@ TEST(SweepAllFailures, DeadlineFailuresExitNonzeroAndResumeRecovers)
     EXPECT_NE(report.find("deadline exceeded"), std::string::npos);
     EXPECT_NE(report.find("\"retries\": 1"), std::string::npos);
     EXPECT_TRUE(std::filesystem::exists(out + ".journal"));
+    {
+        // Each run's failure is stored under its config key.
+        ExperimentConfig base;
+        base.core.maxInsts = 12'000;
+        base.profileInsts = 12'000;
+        RunStore journal(out + ".journal");
+        for (const FigureRun &run : expandFigures({"fig05"}, {"go"}, base)) {
+            std::optional<JournalRecord> rec =
+                storedRecord(journal, configKey(run.config));
+            ASSERT_TRUE(rec.has_value()) << run.variant;
+            EXPECT_TRUE(rec->result.failed) << run.variant;
+        }
+    }
 
     // --keep-going turns the same failures into exit 0.
     std::vector<std::string> keep_going = failing;
@@ -1416,7 +1512,7 @@ TEST(SweepAllFailures, DegradedRunKeepsItsFirstErrorInReportAndSummary)
 {
     // A run whose first attempt failed and whose degraded retry
     // succeeded: produced in-process through the fault hook, journaled
-    // under sweep_all's key for it, and picked up by --resume. The
+    // under its config key, and picked up by --resume. The
     // report row must carry the first attempt's error, and the
     // end-of-sweep summary must name the run even under --quiet.
     TempDir dir;
@@ -1445,8 +1541,7 @@ TEST(SweepAllFailures, DegradedRunKeepsItsFirstErrorInReportAndSummary)
     {
         RunJournal journal(out + ".journal");
         JournalRecord rec;
-        rec.key = hashHex(fnv1a(lvp->config.workload,
-                                fnv1a(lvp->variant, fnv1a(lvp->figure))));
+        rec.key = configKey(lvp->config);
         rec.figure = lvp->figure;
         rec.variant = lvp->variant;
         rec.workload = lvp->config.workload;

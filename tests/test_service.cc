@@ -422,6 +422,27 @@ TEST(ServiceProtocol, StoreFormatIsFrozen)
     EXPECT_EQ(runSpecKey(fig04), "b750b93b3afc3a59");
 }
 
+TEST(ServiceProtocol, SpecKeysAreTheirConfigsKeys)
+{
+    // A spec's key and text are those of the config it describes: the
+    // daemon keys the config it validated, and a client the spec.
+    RunSpec drvp = svcSpec("go", "drvp");
+    drvp.vpParams = "hist=3";
+    RunSpec fig04 = svcSpec("go", "lvp");
+    fig04.profileThreshold = 0.9;
+    RunSpec all = svcSpec("mgrid", "lvp", 2'000'000);
+    all.loadsOnly = false;
+    all.recovery = "refetch";
+    for (const RunSpec &spec :
+         {svcSpec("go", "lvp"), svcSpec("mgrid", "drvp"),
+          svcSpec("go", "rvp-dynamic"), svcSpec("go", "lvp", 13'000),
+          svcSpec("li", "lvp", 2'000'000), drvp, fig04, all}) {
+        ExperimentConfig config = configForSpec(spec);
+        EXPECT_EQ(runSpecKey(spec), configKey(config)) << spec.scheme;
+        EXPECT_EQ(canonicalSpecText(spec), canonicalConfigText(config));
+    }
+}
+
 TEST(ServiceProtocol, ValidationRejectsBadSpecsWithTypedErrors)
 {
     // The daemon's whole check of a spec: build its config, validate.

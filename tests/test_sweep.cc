@@ -6,15 +6,21 @@
  * up-front configuration validation must fail fast on contradictions,
  * and the committed-path prediction accounting must keep coverage a
  * real fraction (predictions never exceed committed instructions).
+ * Also the run identity (sim/journal.hh): every field of its table
+ * changes a run's key.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
+#include <map>
+#include <set>
 #include <stdexcept>
 #include <thread>
 
 #include "config_error.hh"
+#include "sim/journal.hh"
 #include "sim/runner.hh"
 #include "sim/sweep.hh"
 #include "uarch/core.hh"
@@ -683,6 +689,133 @@ TEST(Sweep, SummarizeKipsTreatsZeroAsAValidMinimum)
     EXPECT_FALSE(s.any);
     s = summarizeKips({});
     EXPECT_FALSE(s.any);
+}
+
+TEST(RunIdentity, EveryFieldOfTheTableChangesTheKey)
+{
+    // One edit per row of configFields(): a config that differs from
+    // the default only in that field gets that row's text changed, no
+    // other row's, and a key of its own.
+    using Edit = std::function<void(ExperimentConfig &)>;
+    const std::map<std::string, Edit> edits = {
+        {"workload", [](ExperimentConfig &c) { c.workload = "mgrid"; }},
+        {"scheme", [](ExperimentConfig &c) { c.scheme = VpScheme::Lvp; }},
+        {"assist",
+         [](ExperimentConfig &c) { c.assist = AssistLevel::DeadLv; }},
+        {"recovery",
+         [](ExperimentConfig &c) {
+             c.core.recovery = RecoveryPolicy::Refetch;
+         }},
+        {"loads_only", [](ExperimentConfig &c) { c.loadsOnly = false; }},
+        {"insts", [](ExperimentConfig &c) { c.core.maxInsts = 12'000; }},
+        {"profile_insts",
+         [](ExperimentConfig &c) { c.profileInsts = 12'000; }},
+        {"profile_threshold",
+         [](ExperimentConfig &c) { c.profileThreshold = 0.9; }},
+        {"table_entries", [](ExperimentConfig &c) { c.tableEntries = 256; }},
+        {"counter_threshold",
+         [](ExperimentConfig &c) { c.counterThreshold = 3; }},
+        {"vp_params", [](ExperimentConfig &c) { c.vpParams = "hist=3"; }},
+        {"realistic_realloc",
+         [](ExperimentConfig &c) { c.realisticRealloc = true; }},
+        {"tagged_rvp", [](ExperimentConfig &c) { c.taggedRvp = true; }},
+        {"fetch_width", [](ExperimentConfig &c) { c.core.fetchWidth = 16; }},
+        {"fetch_blocks",
+         [](ExperimentConfig &c) { c.core.fetchBlocks = 3; }},
+        {"front_depth", [](ExperimentConfig &c) { c.core.frontDepth = 6; }},
+        {"rename_width",
+         [](ExperimentConfig &c) { c.core.renameWidth = 16; }},
+        {"commit_width",
+         [](ExperimentConfig &c) { c.core.commitWidth = 16; }},
+        {"int_iq_entries",
+         [](ExperimentConfig &c) { c.core.intIqEntries = 64; }},
+        {"fp_iq_entries",
+         [](ExperimentConfig &c) { c.core.fpIqEntries = 64; }},
+        {"int_fus", [](ExperimentConfig &c) { c.core.intFus = 12; }},
+        {"ldst_ports", [](ExperimentConfig &c) { c.core.ldstPorts = 8; }},
+        {"fp_fus", [](ExperimentConfig &c) { c.core.fpFus = 6; }},
+        {"rob_entries", [](ExperimentConfig &c) { c.core.robEntries = 256; }},
+        {"phys_int_regs",
+         [](ExperimentConfig &c) { c.core.physIntRegs = 256; }},
+        {"phys_fp_regs",
+         [](ExperimentConfig &c) { c.core.physFpRegs = 256; }},
+        {"lsq_entries", [](ExperimentConfig &c) { c.core.lsqEntries = 128; }},
+        {"collect_hist",
+         [](ExperimentConfig &c) { c.core.collectHist = true; }},
+        {"l1i_name", [](ExperimentConfig &c) { c.core.mem.l1i.name = "i"; }},
+        {"l1i_size_bytes",
+         [](ExperimentConfig &c) { c.core.mem.l1i.sizeBytes = 65536; }},
+        {"l1i_assoc", [](ExperimentConfig &c) { c.core.mem.l1i.assoc = 2; }},
+        {"l1i_line_bytes",
+         [](ExperimentConfig &c) { c.core.mem.l1i.lineBytes = 32; }},
+        {"l1d_name", [](ExperimentConfig &c) { c.core.mem.l1d.name = "d"; }},
+        {"l1d_size_bytes",
+         [](ExperimentConfig &c) { c.core.mem.l1d.sizeBytes = 65536; }},
+        {"l1d_assoc", [](ExperimentConfig &c) { c.core.mem.l1d.assoc = 2; }},
+        {"l1d_line_bytes",
+         [](ExperimentConfig &c) { c.core.mem.l1d.lineBytes = 32; }},
+        {"l2_name", [](ExperimentConfig &c) { c.core.mem.l2.name = "u"; }},
+        {"l2_size_bytes",
+         [](ExperimentConfig &c) { c.core.mem.l2.sizeBytes = 1 << 20; }},
+        {"l2_assoc", [](ExperimentConfig &c) { c.core.mem.l2.assoc = 4; }},
+        {"l2_line_bytes",
+         [](ExperimentConfig &c) { c.core.mem.l2.lineBytes = 128; }},
+        {"l1_hit_latency",
+         [](ExperimentConfig &c) { c.core.mem.l1HitLatency = 2; }},
+        {"l1_miss_penalty",
+         [](ExperimentConfig &c) { c.core.mem.l1MissPenalty = 10; }},
+        {"l2_miss_penalty",
+         [](ExperimentConfig &c) { c.core.mem.l2MissPenalty = 40; }},
+        {"bp_pht_entries",
+         [](ExperimentConfig &c) { c.core.bp.phtEntries = 4096; }},
+        {"bp_btb_entries",
+         [](ExperimentConfig &c) { c.core.bp.btbEntries = 512; }},
+        {"bp_ras_entries",
+         [](ExperimentConfig &c) { c.core.bp.rasEntries = 32; }},
+        {"bp_history_bits",
+         [](ExperimentConfig &c) { c.core.bp.historyBits = 12; }},
+        {"trace_out", [](ExperimentConfig &c) { c.traceOut = "t.json"; }},
+        {"trace_sample", [](ExperimentConfig &c) { c.traceSample = 8; }},
+    };
+    const ExperimentConfig base;
+    std::set<std::string> keys{configKey(base)};
+    for (const ConfigField &field : configFields()) {
+        auto edit = edits.find(field.name);
+        ASSERT_NE(edit, edits.end()) << "no edit for row " << field.name;
+        ExperimentConfig changed = base;
+        edit->second(changed);
+        for (const ConfigField &other : configFields()) {
+            bool same = other.format(changed) == other.format(base);
+            EXPECT_EQ(same, std::string(other.name) != field.name)
+                << "editing " << field.name << " changed " << other.name;
+        }
+        EXPECT_TRUE(keys.insert(configKey(changed)).second)
+            << field.name << " shares a key";
+    }
+    EXPECT_EQ(edits.size(), configFields().size());
+}
+
+TEST(RunIdentity, TextKeepsTheFrozenPrefixAndEscapesStrings)
+{
+    // A default config writes only the frozen v1 fields; a later field
+    // appears as name=value, and a string cannot forge a boundary.
+    ExperimentConfig config;
+    EXPECT_EQ(canonicalConfigText(config),
+              "rvp-spec-v1|go|none|same|selective|loads|400000|300000|"
+              "0.80000000000000004|1024|7|");
+    config.taggedRvp = true;
+    config.traceOut = "a|trace_sample=5";
+    EXPECT_EQ(canonicalConfigText(config),
+              "rvp-spec-v1|go|none|same|selective|loads|400000|300000|"
+              "0.80000000000000004|1024|7||tagged_rvp=true|"
+              "trace_out=a\\|trace_sample=5");
+    ExperimentConfig forged;
+    forged.taggedRvp = true;
+    forged.traceOut = "a";
+    forged.traceSample = 5;
+    EXPECT_NE(configKey(config), configKey(forged));
+    EXPECT_EQ(configKey(config),
+              hashHex(fnv1a(canonicalConfigText(config))));
 }
 
 } // namespace

@@ -11,8 +11,11 @@
  *   sweep_all --jobs 8 --out results.json
  *   sweep_all --insts 50000 --profile-insts 50000 --figures fig05,table2
  *
- * Every finished run is journaled to <out>.journal, so a killed sweep
- * picks up where it left off with `--resume` (sim/journal.hh).
+ * Every grid entry is keyed by its config (configKey, sim/journal.hh),
+ * and each distinct key runs once: entries that share a config share
+ * its result. Every finished run is put in the run store
+ * <out>.journal, so a killed sweep picks up where it left off with
+ * `--resume`.
  *
  * Run `sweep_all --help` for the full option set.
  */
@@ -24,6 +27,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -61,7 +65,7 @@ struct Options
     /** Committed-stream cache budget; 0 = always live emulation. */
     std::uint64_t streamCacheBytes =
         WorkloadCache::defaultStreamCacheBytes;
-    /** Load <out>.journal and skip runs journaled as successful. */
+    /** Fill every entry whose key holds a success in <out>.journal. */
     bool resume = false;
     /** Per-attempt wall-clock watchdog, seconds; 0 = off. */
     double runDeadline = 0.0;
@@ -110,8 +114,8 @@ usage()
         "  --stream-cache-bytes N\n"
         "                      committed-stream replay cache budget\n"
         "                      (default 256 MiB; 0 disables replay)\n"
-        "  --resume            skip runs already journaled as\n"
-        "                      successful in <out>.journal (a killed\n"
+        "  --resume            reuse every run whose config key holds\n"
+        "                      a success in <out>.journal (a killed\n"
         "                      sweep picks up where it left off)\n"
         "  --run-deadline S    per-run wall-clock watchdog in seconds\n"
         "                      (fractions OK; 0 = off); an overrunning\n"
@@ -164,42 +168,6 @@ peakRssMb()
     rusage self{};
     getrusage(RUSAGE_SELF, &self);
     return static_cast<double>(self.ru_maxrss) / 1024.0;
-}
-
-/**
- * FNV-1a hash of every option that shapes the measured grid, so two
- * bench rows are throughput-comparable exactly when their hashes
- * match. --jobs, --stream-cache-bytes, and --max-batch-group are
- * deliberately excluded: they change how fast the work is done, not
- * what work the sweep does, and comparing rows across them is the
- * point of the trail.
- */
-std::string
-configHash(const Options &opts)
-{
-    std::uint64_t h = fnv1a("insts=" + std::to_string(opts.insts));
-    h = fnv1a("profile_insts=" + std::to_string(opts.profileInsts), h);
-    h = fnv1a("hist=" + std::to_string(opts.hist), h);
-    for (const std::string &w : opts.workloads)
-        h = fnv1a("workload=" + w, h);
-    for (const std::string &f : opts.figures)
-        h = fnv1a("figure=" + f, h);
-    return hashHex(h);
-}
-
-// JSON escaping/number formatting come from sim/journal.hh
-// (rvp::jsonEscape / rvp::jsonNum — %.17g round-trips exactly, which
-// the resume path depends on).
-
-/** Identity key of one grid entry within a sweep (the sweep-level
- *  options are pinned separately by configHash). */
-std::string
-runKey(const FigureRun &entry)
-{
-    std::uint64_t h = fnv1a(entry.figure);
-    h = fnv1a(entry.variant, h);
-    h = fnv1a(entry.config.workload, h);
-    return hashHex(h);
 }
 
 } // namespace
@@ -304,68 +272,53 @@ try {
     if (!opts.benchOut.empty())
         checkArtifactPath(opts.benchOut, "--bench-out");
 
-    const std::string sweep_hash = configHash(opts);
     const std::string journal_path = opts.out + ".journal";
     checkArtifactPath(journal_path, "journal");
-    std::vector<std::string> keys;
-    keys.reserve(entries.size());
-    for (const FigureRun &entry : entries)
-        keys.push_back(runKey(entry));
-
-    // Resume: load the journal once and pre-fill every run it records
-    // as successful; only the rest is executed. Failed records are
-    // re-run (they may succeed this time, and the retry's journal line
-    // supersedes theirs — later records win).
-    std::vector<ExperimentResult> results(entries.size());
-    std::vector<double> run_seconds(entries.size(), 0.0);
-    std::vector<bool> resumed(entries.size(), false);
-    bool journal_has_header = false;
-    if (opts.resume) {
-        RunJournal::Loaded loaded;
-        try {
-            loaded = loadJournalForResume(journal_path, sweep_hash);
-        } catch (const std::runtime_error &e) {
-            die(e.what());
-        }
-        if (loaded.skippedLines > 0)
-            std::cerr << "sweep_all: journal: skipped "
-                      << loaded.skippedLines
-                      << " torn/corrupt line(s)\n";
-        journal_has_header = !loaded.sweepHash.empty();
-        for (std::size_t i = 0; i < entries.size(); ++i) {
-            auto it = loaded.runs.find(keys[i]);
-            if (it == loaded.runs.end() || it->second.result.failed)
-                continue;
-            results[i] = it->second.result;
-            run_seconds[i] = it->second.runSeconds;
-            resumed[i] = true;
-        }
-    } else {
-        // A fresh sweep must not inherit a stale journal: a key
-        // collision with an old run would silently skip work on a
-        // later --resume.
+    // A fresh sweep starts a fresh store; --resume reads the old one.
+    if (!opts.resume)
         unlink(journal_path.c_str());
-    }
-
-    std::vector<std::size_t> pending;
-    for (std::size_t i = 0; i < entries.size(); ++i)
-        if (!resumed[i])
-            pending.push_back(i);
-
-    std::cerr << "sweep_all: " << entries.size() << " runs ("
-              << pending.size() << " to execute, "
-              << entries.size() - pending.size() << " resumed), jobs="
-              << (opts.jobs ? opts.jobs : defaultJobs()) << "\n";
-
-    std::unique_ptr<RunJournal> journal;
-    if (!opts.noJournal && !pending.empty()) {
-        journal = std::make_unique<RunJournal>(journal_path);
+    std::unique_ptr<RunStore> journal;
+    if (!opts.noJournal) {
+        journal = std::make_unique<RunStore>(journal_path);
         if (!journal->ok())
             die("cannot open run journal " + journal_path);
-        // Header once per journal file (a resumed one has one).
-        if (!journal_has_header)
-            journal->appendSweepHeader(sweep_hash);
+        if (journal->skippedLines() > 0)
+            std::cerr << "sweep_all: journal: skipped "
+                      << journal->skippedLines()
+                      << " torn, corrupt or old-format line(s)\n";
     }
+
+    // Each distinct config runs once: firstOf maps a key to the first
+    // entry that has it, and every later entry copies that result.
+    // --resume fills a key from a successful stored record instead;
+    // a failed one runs again, and its new record supersedes the old.
+    std::vector<std::string> keys;
+    std::map<std::string, std::size_t> firstOf;
+    std::vector<std::size_t> pending;
+    std::vector<ExperimentResult> results(entries.size());
+    std::vector<double> run_seconds(entries.size(), 0.0);
+    for (std::size_t i = 0; i < entries.size(); ++i) {
+        keys.push_back(configKey(entries[i].config));
+        if (!firstOf.emplace(keys[i], i).second)
+            continue;
+        std::optional<std::string> line;
+        if (opts.resume)
+            line = journal->get(keys[i]);
+        std::optional<JournalRecord> rec =
+            line ? parseJournalRunLine(*line) : std::nullopt;
+        if (rec && !rec->result.failed) {
+            results[i] = rec->result;
+            run_seconds[i] = rec->runSeconds;
+        } else {
+            pending.push_back(i);
+        }
+    }
+
+    std::cerr << "sweep_all: " << entries.size() << " runs ("
+              << firstOf.size() << " distinct, " << pending.size()
+              << " to execute, " << firstOf.size() - pending.size()
+              << " resumed), jobs="
+              << (opts.jobs ? opts.jobs : defaultJobs()) << "\n";
 
     std::vector<ExperimentConfig> configs;
     configs.reserve(pending.size());
@@ -390,7 +343,7 @@ try {
             rec.workload = entries[i].config.workload;
             rec.runSeconds = seconds;
             rec.result = result;
-            journal->append(rec);
+            journal->put(rec.key, encodeJournalRecord(rec));
         };
     }
     SweepReport report;
@@ -400,6 +353,11 @@ try {
         results[pending[pi]] = std::move(executed[pi]);
         run_seconds[pending[pi]] = report.runSeconds[pi];
     }
+    for (std::size_t i = 0; i < entries.size(); ++i) {
+        std::size_t first = firstOf.at(keys[i]);
+        results[i] = results[first];
+        run_seconds[i] = run_seconds[first];
+    }
 
     // Throughput comes in two honest flavours: aggregate_kips divides
     // by summed per-core simulation seconds (comparable across cache
@@ -407,12 +365,13 @@ try {
     // wall_kips divides by this invocation's wall clock (what a user
     // actually waited; the one parallelism is allowed to improve).
     // Reporting only the former made a --jobs 4 sweep look ~2x SLOWER
-    // than --jobs 1 in the bench trail.
+    // than --jobs 1 in the bench trail. Both count each distinct run
+    // once, as it was simulated.
     double total_committed = 0.0;
     double total_core_seconds = 0.0;
-    for (const ExperimentResult &r : results) {
-        total_committed += static_cast<double>(r.committed);
-        total_core_seconds += r.hostSeconds;
+    for (const auto &[key, i] : firstOf) {
+        total_committed += static_cast<double>(results[i].committed);
+        total_core_seconds += results[i].hostSeconds;
     }
     double agg_kips =
         total_core_seconds > 0.0
@@ -549,11 +508,17 @@ try {
         std::sort(schemes.begin(), schemes.end());
         schemes.erase(std::unique(schemes.begin(), schemes.end()),
                       schemes.end());
+        // The grid's identity: its sorted distinct run keys, so two
+        // rows compare exactly when they simulated the same configs.
+        std::string grid_keys;
+        for (const auto &[key, i] : firstOf)
+            grid_keys += key;
         std::ostringstream bos;
         bos << "{\"tool\": \"sweep_all\""
             << ", \"git\": \"" << jsonEscape(gitDescribe()) << "\""
-            << ", \"config_hash\": \"" << configHash(opts) << "\""
+            << ", \"config_hash\": \"" << hashHex(fnv1a(grid_keys)) << "\""
             << ", \"runs\": " << entries.size()
+            << ", \"distinct_runs\": " << firstOf.size()
             << ", \"schemes\": [";
         for (std::size_t si = 0; si < schemes.size(); ++si) {
             bos << (si ? ", " : "") << "\"" << jsonEscape(schemes[si])
