@@ -355,8 +355,10 @@ try {
     }
     for (std::size_t i = 0; i < entries.size(); ++i) {
         std::size_t first = firstOf.at(keys[i]);
-        results[i] = results[first];
-        run_seconds[i] = run_seconds[first];
+        if (first != i) {
+            results[i] = results[first];
+            run_seconds[i] = run_seconds[first];
+        }
     }
 
     // Throughput comes in two honest flavours: aggregate_kips divides
@@ -516,7 +518,8 @@ try {
         std::ostringstream bos;
         bos << "{\"tool\": \"sweep_all\""
             << ", \"git\": \"" << jsonEscape(gitDescribe()) << "\""
-            << ", \"config_hash\": \"" << hashHex(fnv1a(grid_keys)) << "\""
+            << ", \"config_hash\": \"" << hashHex(fnv1a(grid_keys))
+            << "\""
             << ", \"runs\": " << entries.size()
             << ", \"distinct_runs\": " << firstOf.size()
             << ", \"schemes\": [";
