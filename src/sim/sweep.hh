@@ -231,7 +231,7 @@ struct SweepOptions
     double retryBackoff = 0.05;
     /**
      * Upper bound on runs in one run-driver group (sim/batchrun.hh).
-     * The paper grid concentrates 268 of 308 runs in 18 stream-key
+     * The paper grid's 220 distinct runs put 180 in 18 stream-key
      * groups; unchunked, each group is one indivisible scheduling
      * unit and the tail of a parallel sweep serializes behind the
      * biggest ones. Chunks are bit-identical to the whole group (each
