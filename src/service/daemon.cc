@@ -181,20 +181,6 @@ struct SweepService::Impl
         (void)!::write(wakePipe[1], &b, 1);
     }
 
-    std::string
-    recordFor(const std::string &key, const ExperimentConfig &config,
-              const ExperimentResult &result, double runSeconds)
-    {
-        JournalRecord rec;
-        rec.key = key;
-        rec.figure = "service";
-        rec.variant = describeConfig(config);
-        rec.workload = config.workload;
-        rec.runSeconds = runSeconds;
-        rec.result = result;
-        return encodeJournalRecord(rec);
-    }
-
     void
     publishCompletion(const std::string &key, const std::string &record)
     {
@@ -238,22 +224,16 @@ struct SweepService::Impl
             so.progress = opts.progress;
             so.runDeadline = opts.runDeadlineSeconds;
             so.sharedCache = &cache;
-            so.onRunComplete = [&](std::size_t i,
-                                   const ExperimentResult &result,
-                                   double runSeconds) {
-                const std::string &key = batch[i].key;
-                std::string record =
-                    recordFor(key, batch[i].config, result, runSeconds);
-                // Only successes are memoized: a deadline kill or an
-                // OOM is transient and must not poison the key — the
-                // next identical request re-executes it.
-                if (!result.failed)
-                    store.put(key, record);
-                executed.fetch_add(1);
-                publishCompletion(key, record);
-            };
             try {
-                runSweep(configs, so);
+                // runStored calls back after a record's put returned,
+                // so a stored key is never delivered before it is
+                // durable.
+                runStored(configs, &store, so, nullptr,
+                          [&](const StoredRun &run) {
+                              if (!run.cached)
+                                  executed.fetch_add(1);
+                              publishCompletion(run.key, run.line);
+                          });
             } catch (const std::exception &e) {
                 // runSweep contains per-run failures itself; this is
                 // setup-level. Fail every key still owed a completion
@@ -270,9 +250,8 @@ struct SweepService::Impl
                     failed.failed = true;
                     failed.error = e.what();
                     publishCompletion(batch[i].key,
-                                      recordFor(batch[i].key,
-                                                batch[i].config, failed,
-                                                0.0));
+                                      encodeJournalRecord(journalRecordFor(
+                                          batch[i].config, failed, 0.0)));
                 }
             }
         }
@@ -370,6 +349,7 @@ struct SweepService::Impl
     {
         ServiceStatus s;
         s.storeEntries = store.size();
+        s.staleEntries = store.staleLines();
         {
             std::lock_guard<std::mutex> lock(mutex);
             s.queued = pendingQ.size();

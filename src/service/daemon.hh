@@ -2,9 +2,10 @@
  * @file
  * The sweep service: a long-running daemon that listens on a
  * Unix-domain socket, accepts experiment submissions as framed JSONL
- * requests (service/protocol.hh), executes them through runSweep on a
- * background executor thread, and answers from / publishes to a
- * persistent content-addressed result store (service/store.hh).
+ * requests (service/protocol.hh), executes them through runStored
+ * (sim/journal.hh, sweep_all's executor too) on a background executor
+ * thread, and answers from / publishes to a persistent
+ * content-addressed result store (service/store.hh).
  *
  * Robustness contract (each clause is fault-injection-tested in
  * tests/test_service.cc):

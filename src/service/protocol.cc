@@ -209,6 +209,7 @@ encodeStatusReply(const ServiceStatus &s)
 {
     std::ostringstream os;
     os << "{\"type\": \"status\", \"store_entries\": " << s.storeEntries
+       << ", \"stale_entries\": " << s.staleEntries
        << ", \"queued\": " << s.queued
        << ", \"inflight\": " << s.inflight
        << ", \"clients\": " << s.clients
@@ -302,6 +303,7 @@ decodeServerMsg(const std::string &payload)
             msg.kind = ServerMsg::Kind::Status;
             ServiceStatus &st = msg.status;
             st.storeEntries = jsonGet<std::uint64_t>(obj, "store_entries");
+            st.staleEntries = jsonGet<std::uint64_t>(obj, "stale_entries");
             st.queued = jsonGet<std::uint64_t>(obj, "queued");
             st.inflight = jsonGet<std::uint64_t>(obj, "inflight");
             st.clients = jsonGet<std::uint64_t>(obj, "clients");

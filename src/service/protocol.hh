@@ -137,7 +137,8 @@ struct ClientRequest
 /** Daemon-side counters reported by status frames. */
 struct ServiceStatus
 {
-    std::uint64_t storeEntries = 0;
+    std::uint64_t storeEntries = 0;  ///< this model's entries
+    std::uint64_t staleEntries = 0;  ///< another model's puts, not loaded
     std::uint64_t queued = 0;
     std::uint64_t inflight = 0;
     std::uint64_t clients = 0;

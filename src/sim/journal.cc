@@ -19,6 +19,7 @@
 #include "common/jsonlite.hh"
 #include "common/logging.hh"
 #include "common/parse.hh"
+#include "sim/model_stamp.hh"
 #include "sim/sweep.hh"
 #include "vp/registry.hh"
 
@@ -192,6 +193,19 @@ encodeJournalRecord(const JournalRecord &rec)
     return os.str();
 }
 
+JournalRecord
+journalRecordFor(const ExperimentConfig &config,
+                 const ExperimentResult &result, double runSeconds)
+{
+    JournalRecord rec;
+    rec.key = configKey(config);
+    rec.variant = describeConfig(config);
+    rec.workload = config.workload;
+    rec.runSeconds = runSeconds;
+    rec.result = result;
+    return rec;
+}
+
 std::optional<JournalRecord>
 parseJournalRunLine(const std::string &line)
 {
@@ -360,6 +374,12 @@ configKey(const ExperimentConfig &config)
     return hashHex(fnv1a(canonicalConfigText(config)));
 }
 
+const char *
+modelFingerprint()
+{
+    return stamp::modelFingerprint;
+}
+
 // ---------------------------------------------------------------------
 // Run store
 // ---------------------------------------------------------------------
@@ -427,6 +447,7 @@ std::string
 putLine(const std::string &key, const std::string &recordLine)
 {
     return "{\"type\": \"put\", \"key\": \"" + jsonEscape(key) +
+           "\", \"model\": \"" + stamp::modelFingerprint +
            "\", \"record\": \"" + jsonEscape(recordLine) + "\"}";
 }
 
@@ -437,16 +458,26 @@ const char *const storeHeader = "{\"type\": \"store\", \"version\": 1}";
 RunStore::RunStore(const std::string &path) : path_(path)
 {
     // Replay whatever survives on disk first: later duplicates win
-    // (a compacted file has none); torn or corrupt lines — the
-    // possible last line of a SIGKILLed writer — and lines of any
-    // other format are counted and skipped.
+    // (a compacted file has none); a put of another model is counted
+    // stale and not loaded; torn or corrupt lines — the possible last
+    // line of a SIGKILLed writer — and lines of any other format are
+    // counted and skipped.
     skipped_ = replayJsonLines(path, [&](const JsonObject &obj) {
         std::string type = jsonGet<std::string>(obj, "type");
-        if (type == "put")
-            entries_.insert_or_assign(jsonGet<std::string>(obj, "key"),
-                                      jsonGet<std::string>(obj, "record"));
-        else if (type != "store")
+        if (type == "put") {
+            std::string key = jsonGet<std::string>(obj, "key");
+            std::string record = jsonGet<std::string>(obj, "record");
+            auto model = obj.find("model");
+            if (model != obj.end() &&
+                model->second.get<std::string>("model") ==
+                    stamp::modelFingerprint)
+                entries_.insert_or_assign(std::move(key),
+                                          std::move(record));
+            else
+                ++stale_;
+        } else if (type != "store") {
             throw std::runtime_error("unknown store line");
+        }
     });
     recovered_ = entries_.size();
 
@@ -540,6 +571,74 @@ RunStore::compact()
         return false;
     }
     return true;
+}
+
+// ---------------------------------------------------------------------
+// Stored-run executor
+// ---------------------------------------------------------------------
+
+std::vector<StoredRun>
+runStored(const std::vector<ExperimentConfig> &configs, RunStore *store,
+          const SweepOptions &options, SweepReport *report,
+          const std::function<void(const StoredRun &)> &onRecord,
+          const std::function<void(std::size_t, std::size_t)> &onPlan)
+{
+    std::vector<StoredRun> runs(configs.size());
+    std::map<std::string, std::size_t> firstOf;
+    std::vector<std::size_t> pending;
+    std::vector<ExperimentConfig> pendingConfigs;
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+        StoredRun &run = runs[i];
+        run.key = configKey(configs[i]);
+        auto [it, fresh] = firstOf.emplace(run.key, i);
+        run.first = it->second;
+        if (!fresh)
+            continue;
+        std::optional<std::string> line =
+            store ? store->get(run.key) : std::nullopt;
+        std::optional<JournalRecord> rec =
+            line ? parseJournalRunLine(*line) : std::nullopt;
+        if (rec) {
+            run.record = std::move(*rec);
+            run.line = std::move(*line);
+            run.cached = true;
+        } else {
+            pending.push_back(i);
+            pendingConfigs.push_back(configs[i]);
+        }
+    }
+    if (onPlan)
+        onPlan(firstOf.size(), pending.size());
+    if (onRecord)
+        for (std::size_t i = 0; i < runs.size(); ++i)
+            if (runs[i].cached && runs[i].first == i)
+                onRecord(runs[i]);
+
+    SweepOptions sweepOptions = options;
+    sweepOptions.onRunComplete = [&](std::size_t pi,
+                                     const ExperimentResult &result,
+                                     double runSeconds) {
+        std::size_t i = pending[pi];
+        StoredRun &run = runs[i];
+        run.record = journalRecordFor(configs[i], result, runSeconds);
+        run.line = encodeJournalRecord(run.record);
+        // The store rule: only a first attempt's success is stored.
+        if (store && !result.failed && result.retries == 0)
+            store->put(run.key, run.line);
+        if (onRecord)
+            onRecord(run);
+    };
+    runSweep(pendingConfigs, sweepOptions, report);
+
+    for (StoredRun &run : runs) {
+        const StoredRun &first = runs[run.first];
+        if (&first != &run) {
+            run.record = first.record;
+            run.line = first.line;
+            run.cached = first.cached;
+        }
+    }
+    return runs;
 }
 
 } // namespace rvp

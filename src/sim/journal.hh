@@ -4,9 +4,11 @@
  * whole configuration: configKey() hashes canonicalConfigText(), which
  * one table (configFields) builds from every ExperimentConfig field
  * that can change a result. One RunStore persists finished runs under
- * those keys: sweep_all's `<out>.journal` (a killed sweep resumes by
- * looking each run's key up) and the sweep service's result store
- * (service/store.hh) are both RunStores.
+ * those keys, each put stamped with the model that produced it:
+ * sweep_all's `<out>.journal` (a killed sweep resumes by looking each
+ * run's key up) and the sweep service's result store
+ * (service/store.hh) are both RunStores, and both front ends drive
+ * theirs through one executor, runStored().
  *
  * Durability recipe:
  *  - store puts: O_APPEND write of one full line + fsync, so a crash
@@ -21,6 +23,7 @@
 #define RVP_SIM_JOURNAL_HH
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -32,6 +35,9 @@
 
 namespace rvp
 {
+
+struct SweepOptions;
+struct SweepReport;
 
 /** FNV-1a over a byte string; `seed` chains multi-field hashes. */
 std::uint64_t fnv1a(std::string_view bytes,
@@ -98,6 +104,16 @@ struct JournalRecord
 };
 
 /**
+ * The record of config's run: its key, labels from the config alone
+ * (figure empty, variant describeConfig(config), workload
+ * config.workload), so one key's record has the same bytes whichever
+ * front end ran it.
+ */
+JournalRecord journalRecordFor(const ExperimentConfig &config,
+                               const ExperimentResult &result,
+                               double runSeconds);
+
+/**
  * Serialize one record to its canonical journal line (no trailing
  * newline). This is THE byte format: every RunStore persists it
  * verbatim, and service clients receive the stored bytes unchanged —
@@ -140,17 +156,29 @@ std::string canonicalConfigText(const ExperimentConfig &config);
 std::string configKey(const ExperimentConfig &config);
 
 /**
+ * This build's model fingerprint: 16 hex digits hashed at build time
+ * from every source file that can move a result (src/stamp.cmake
+ * states the list). Any edit to one gives a new fingerprint.
+ */
+const char *modelFingerprint();
+
+/**
  * The durable run store: a map from run key to the exact record line
  * (encodeJournalRecord) the run produced, kept in a crash-safe JSONL
  * file:
  *   {"type": "store", "version": 1}          — header, written once
- *   {"type": "put", "key": "...", "record": "<escaped record line>"}
- * The constructor replays the file: a later duplicate of a key wins,
- * and a torn or corrupt line (a SIGKILL mid-append, garbage, a line of
- * another format) is skipped and counted, never fatal. A torn last
- * line is ended before the first new put, so the put is not spliced
- * onto it. Thread safe: sweep workers put concurrently, and each put
- * is one write of a full line followed by an fsync.
+ *   {"type": "put", "key": "...", "model": "<fingerprint>",
+ *    "record": "<escaped record line>"}
+ * Every put is stamped with modelFingerprint(); the key and the record
+ * bytes carry no stamp. The constructor replays the file: a later
+ * duplicate of a key wins; a put of another model, or with no model,
+ * is stale: not loaded, only counted, so another build's result is
+ * never returned as this one's. A torn or corrupt line (a SIGKILL
+ * mid-append, garbage, a line of another format) is skipped and
+ * counted, never fatal. A torn last line is ended before the first new
+ * put, so the put is not spliced onto it. Thread safe: sweep workers
+ * put concurrently, and each put is one write of a full line followed
+ * by an fsync.
  */
 class RunStore
 {
@@ -186,9 +214,13 @@ class RunStore
     /** Torn / corrupt lines skipped by the replay. */
     std::size_t skippedLines() const { return skipped_; }
 
+    /** Puts of another model (or with none) the replay did not load. */
+    std::size_t staleLines() const { return stale_; }
+
     /**
      * Rewrite the file as header + one put line per surviving key
-     * (atomic via writeFileAtomic), dropping superseded duplicates.
+     * (atomic via writeFileAtomic), dropping superseded duplicates and
+     * stale lines.
      * The append fd is reopened on the new file. Safe to call at any
      * quiet point; the daemon compacts on graceful shutdown. False
      * (warned) on an I/O error or a path no longer a regular file.
@@ -204,6 +236,7 @@ class RunStore
     std::map<std::string, std::string> entries_;
     std::size_t recovered_ = 0;
     std::size_t skipped_ = 0;
+    std::size_t stale_ = 0;
 };
 
 /** A RunStore that takes whole JournalRecords (perfbench's grid
@@ -217,12 +250,53 @@ class RunJournal : public RunStore
      *  so no sweep header guards a store. */
     void appendSweepHeader(const std::string &) {}
 
-    /** put(rec.key, encodeJournalRecord(rec)), fsync'd on return. */
+    /** put(rec.key, encodeJournalRecord(rec)), fsync'd on return: a
+     *  plain put, which applies no store rule (runStored does). */
     void append(const JournalRecord &rec)
     {
         put(rec.key, encodeJournalRecord(rec));
     }
 };
+
+/** One config's outcome from runStored. */
+struct StoredRun
+{
+    std::string key;        ///< configKey of the config
+    JournalRecord record;   ///< shared by every config of the key
+    std::string line;       ///< encodeJournalRecord(record) / stored bytes
+    bool cached = false;    ///< the store answered the key; nothing ran
+    std::size_t first = 0;  ///< index of the first config with this key
+};
+
+/**
+ * The stored-run executor, the one path from configs to records for
+ * sweep_all and rvpsweepd. It keys every config and answers each key
+ * the store holds with its stored record, without an attempt. Each
+ * missing key runs once through runSweep (with options; report is
+ * runSweep's), and every config of that key shares its record.
+ *
+ * The store rule, applied here and nowhere else: a result is put only
+ * when its first attempt succeeded (!failed && retries == 0), so a
+ * stored record is exactly the result of the config its key names.
+ * A failure is transient (a deadline kill, an OOM) and must not poison
+ * its key. A degraded retry ran with tracing and histograms cleared,
+ * which is not the config its key names. Both are still returned and
+ * go to onRecord, and a later call runs them again.
+ *
+ * store may be null (nothing answered, nothing put). onPlan, if set,
+ * gets the distinct and to-run key counts before anything runs.
+ * onRecord, if set, runs once per distinct key: for a stored key on
+ * the calling thread before any run starts; for a run one on the
+ * sweep worker that ran it, after its put has returned, so a record
+ * is durable before anyone sees it. Workers call it concurrently.
+ * runStored owns options.onRunComplete (the caller's is not called).
+ */
+std::vector<StoredRun>
+runStored(const std::vector<ExperimentConfig> &configs, RunStore *store,
+          const SweepOptions &options, SweepReport *report = nullptr,
+          const std::function<void(const StoredRun &)> &onRecord = {},
+          const std::function<void(std::size_t distinct,
+                                   std::size_t toRun)> &onPlan = {});
 
 } // namespace rvp
 

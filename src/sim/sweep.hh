@@ -260,10 +260,9 @@ struct SweepOptions
     /**
      * Called after each run reaches its final state (post-retry),
      * from the worker thread that ran it, before the sweep moves on.
-     * sweep_all journals the run here so a killed sweep can resume;
-     * the sweep service looks the run's key up by index and publishes
-     * its record. Serialize internally if the callback touches shared
-     * state.
+     * runStored (sim/journal.hh), the executor of sweep_all and the
+     * sweep service, stores and delivers the run's record here.
+     * Serialize internally if the callback touches shared state.
      */
     std::function<void(std::size_t index, const ExperimentResult &result,
                        double runSeconds)>

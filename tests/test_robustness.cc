@@ -1083,6 +1083,145 @@ TEST(JournalMerge, PreStoreJournalLinesAreSkipped)
 }
 
 // ---------------------------------------------------------------------
+// The stored-run executor (runStored) and its store rule
+// ---------------------------------------------------------------------
+
+/** Whether a result carries the core's --hist distributions. */
+bool
+hasHistograms(const ExperimentResult &result)
+{
+    for (const auto &[name, value] : result.stats.values())
+        if (name.rfind("core.issue_to_complete", 0) == 0)
+            return true;
+    return false;
+}
+
+SweepOptions
+quietSweepOptions()
+{
+    SweepOptions opts;
+    opts.jobs = 1;
+    opts.progress = false;
+    opts.retryBackoff = 0.0;
+    return opts;
+}
+
+TEST(RunStored, DegradedHistRunIsReturnedButNotStored)
+{
+    // A --hist run whose first attempt fails succeeds on its degraded
+    // retry without its distributions. That is not the config its key
+    // names, so the store must not answer the key with it: the next
+    // call runs the config again, whole.
+    TempDir dir;
+    RunStore store(dir.file("store.jsonl"));
+    ExperimentConfig config = smallConfig("go");
+    config.scheme = VpScheme::Lvp;
+    config.core.collectHist = true;
+
+    FaultPlan plan;
+    plan.faults[0] = FaultKind::Throw;
+    SweepOptions faulty = quietSweepOptions();
+    faulty.onAttemptStart = makeFaultHook(plan);
+    std::vector<StoredRun> first = runStored({config}, &store, faulty);
+    ASSERT_EQ(first.size(), 1u);
+    const ExperimentResult &degraded = first[0].record.result;
+    EXPECT_FALSE(degraded.failed);
+    EXPECT_TRUE(degraded.degraded);
+    EXPECT_EQ(degraded.retries, 1u);
+    EXPECT_FALSE(hasHistograms(degraded));
+    EXPECT_EQ(first[0].key, configKey(config));
+    EXPECT_EQ(first[0].line, encodeJournalRecord(first[0].record));
+    EXPECT_FALSE(store.get(first[0].key).has_value());
+    EXPECT_EQ(store.size(), 0u);
+
+    std::vector<StoredRun> second =
+        runStored({config}, &store, quietSweepOptions());
+    EXPECT_FALSE(second[0].cached);
+    EXPECT_FALSE(second[0].record.result.degraded);
+    EXPECT_TRUE(hasHistograms(second[0].record.result));
+    EXPECT_EQ(store.get(second[0].key), second[0].line);
+}
+
+TEST(RunStored, RunFailingEveryAttemptIsReturnedFailedNotStored)
+{
+    TempDir dir;
+    RunStore store(dir.file("store.jsonl"));
+    FaultPlan plan;
+    plan.faults[0] = FaultKind::Throw;
+    plan.persistent = true;
+    SweepOptions opts = quietSweepOptions();
+    opts.onAttemptStart = makeFaultHook(plan);
+    std::vector<StoredRun> runs =
+        runStored({smallConfig("go")}, &store, opts);
+    ASSERT_EQ(runs.size(), 1u);
+    EXPECT_TRUE(runs[0].record.result.failed);
+    EXPECT_NE(runs[0].record.result.error.find("injected fault"),
+              std::string::npos);
+    EXPECT_FALSE(runs[0].cached);
+    EXPECT_FALSE(store.get(runs[0].key).has_value());
+    EXPECT_EQ(store.size(), 0u);
+}
+
+TEST(RunStored, StoredKeysRunNoAttemptAndRepeatedKeysRunOnce)
+{
+    TempDir dir;
+    RunStore store(dir.file("store.jsonl"));
+    ExperimentConfig a = smallConfig("go");
+    ExperimentConfig b = smallConfig("mgrid");
+    ExperimentConfig c = smallConfig("go");
+    c.scheme = VpScheme::Lvp;
+    std::vector<StoredRun> filled =
+        runStored({a, b}, &store, quietSweepOptions());
+    ASSERT_EQ(store.size(), 2u);
+
+    std::atomic<unsigned> attempts{0};
+    std::vector<std::string> recorded;
+    std::size_t planned = 0, toRun = 0;
+    SweepOptions opts = quietSweepOptions();
+    opts.onAttemptStart = [&](const ExperimentConfig &config,
+                              const RunContext &) {
+        ++attempts;
+        EXPECT_EQ(configKey(config), configKey(c));
+    };
+    std::vector<StoredRun> runs = runStored(
+        {a, b, a, c, c}, &store, opts, nullptr,
+        [&](const StoredRun &run) {
+            // A run record is durable before anyone sees it.
+            EXPECT_EQ(store.get(run.key), run.line);
+            recorded.push_back(run.key);
+        },
+        [&](std::size_t distinct, std::size_t pending) {
+            planned = distinct;
+            toRun = pending;
+            EXPECT_EQ(attempts.load(), 0u);
+        });
+
+    EXPECT_EQ(attempts.load(), 1u) << "only c runs, once";
+    EXPECT_EQ(planned, 3u);
+    EXPECT_EQ(toRun, 1u);
+    EXPECT_EQ(recorded,
+              (std::vector<std::string>{configKey(a), configKey(b),
+                                        configKey(c)}));
+    ASSERT_EQ(runs.size(), 5u);
+    EXPECT_TRUE(runs[0].cached);
+    EXPECT_TRUE(runs[1].cached);
+    EXPECT_TRUE(runs[2].cached);
+    EXPECT_FALSE(runs[3].cached);
+    EXPECT_FALSE(runs[4].cached);
+    EXPECT_EQ(runs[0].line, filled[0].line);
+    EXPECT_EQ(runs[1].line, filled[1].line);
+    EXPECT_EQ(runs[2].line, runs[0].line);
+    EXPECT_EQ(runs[4].line, runs[3].line);
+    EXPECT_EQ(runs[2].first, 0u);
+    EXPECT_EQ(runs[4].first, 3u);
+    EXPECT_EQ(runs[4].record.result.cycles, runs[3].record.result.cycles);
+    // The labels come from the config alone.
+    EXPECT_EQ(runs[3].record.figure, "");
+    EXPECT_EQ(runs[3].record.variant, describeConfig(c));
+    EXPECT_EQ(runs[3].record.workload, "go");
+}
+
+// ---------------------------------------------------------------------
 // sweep_all kill-and-resume (subprocess tests on the real binary)
 // ---------------------------------------------------------------------
 
@@ -1286,6 +1425,45 @@ TEST(SweepAllResume, JournalFromAnotherInstsBudgetReusesNothing)
     EXPECT_FALSE(std::filesystem::exists(out + ".journal"));
 }
 
+TEST(SweepAllResume, JournalFromAnotherModelReusesNothing)
+{
+    // The same keys, put by another build (another fingerprint, or
+    // none, as before puts were stamped): every line is stale, so a
+    // resume reuses nothing, says so, and runs every entry.
+    TempDir dir;
+    std::string out = dir.file("results.json");
+    std::string journal = out + ".journal";
+    forgeSucceededJournal(journal, stableGrid());
+    std::string text = readFile(journal);
+    const std::string stamp =
+        "\"model\": \"" + std::string(modelFingerprint()) + "\", ";
+    ASSERT_EQ(countOccurrences(text, stamp), 10u);
+    std::size_t at = text.find(stamp);
+    text.erase(at, stamp.size());   // one put with no model at all
+    for (at = text.find(stamp); at != std::string::npos;
+         at = text.find(stamp, at))
+        text.replace(at, stamp.size(),
+                     "\"model\": \"0000000000000000\", ");
+    {
+        std::ofstream os(journal, std::ios::binary | std::ios::trunc);
+        os << text;
+    }
+
+    std::string err = dir.file("stderr.txt");
+    std::vector<std::string> args = stableSweepArgs(out);
+    args.push_back("--resume");
+    ASSERT_EQ(waitExit(spawnSweepAll(args, "", err)), 0);
+    std::string report = readFile(out);
+    EXPECT_EQ(countOccurrences(report, "\"ipc\": "), 10u) << report;
+    EXPECT_EQ(countOccurrences(report, "\"ipc\": 0.125,"), 0u) << report;
+    std::string log = readFile(err);
+    EXPECT_NE(log.find("10 stale line(s) of another model"),
+              std::string::npos)
+        << log;
+    EXPECT_NE(log.find("10 to execute, 0 resumed"), std::string::npos)
+        << log;
+}
+
 TEST(SweepAllResume, ResumeWithNoJournalIsRefused)
 {
     // --no-journal turns off the file --resume reads. The pair is a
@@ -1462,7 +1640,7 @@ TEST(SweepAllFailures, DeadlineFailuresExitNonzeroAndResumeRecovers)
 
     // An impossible per-run deadline: every run fails (after its
     // degraded retry), the exit code is nonzero, the failure rows are
-    // recorded, and the journal survives for --resume.
+    // reported, and the journal survives for --resume.
     std::vector<std::string> failing = {
         "--workloads", "go",    "--figures",       "fig05",
         "--insts",     "12000", "--profile-insts", "12000",
@@ -1476,17 +1654,16 @@ TEST(SweepAllFailures, DeadlineFailuresExitNonzeroAndResumeRecovers)
     EXPECT_NE(report.find("\"retries\": 1"), std::string::npos);
     EXPECT_TRUE(std::filesystem::exists(out + ".journal"));
     {
-        // Each run's failure is stored under its config key.
+        // No failure is stored: nothing answers a failed run's key, so
+        // --resume runs it again.
         ExperimentConfig base;
         base.core.maxInsts = 12'000;
         base.profileInsts = 12'000;
         RunStore journal(out + ".journal");
-        for (const FigureRun &run : expandFigures({"fig05"}, {"go"}, base)) {
-            std::optional<JournalRecord> rec =
-                storedRecord(journal, configKey(run.config));
-            ASSERT_TRUE(rec.has_value()) << run.variant;
-            EXPECT_TRUE(rec->result.failed) << run.variant;
-        }
+        EXPECT_EQ(journal.size(), 0u);
+        for (const FigureRun &run : expandFigures({"fig05"}, {"go"}, base))
+            EXPECT_FALSE(journal.get(configKey(run.config)).has_value())
+                << run.variant;
     }
 
     // --keep-going turns the same failures into exit 0.
@@ -1511,9 +1688,11 @@ TEST(SweepAllFailures, DeadlineFailuresExitNonzeroAndResumeRecovers)
 TEST(SweepAllFailures, DegradedRunKeepsItsFirstErrorInReportAndSummary)
 {
     // A run whose first attempt failed and whose degraded retry
-    // succeeded: produced in-process through the fault hook, journaled
-    // under its config key, and picked up by --resume. The
-    // report row must carry the first attempt's error, and the
+    // succeeded: produced in-process through the fault hook, forged
+    // into the journal under its config key with RunJournal::append
+    // (no production path stores a degraded run any more: runStored
+    // puts only first-attempt successes), and picked up by --resume.
+    // The report row must carry the first attempt's error, and the
     // end-of-sweep summary must name the run even under --quiet.
     TempDir dir;
     std::string out = dir.file("results.json");

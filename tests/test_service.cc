@@ -17,11 +17,13 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -32,7 +34,9 @@
 #include "service/client.hh"
 #include "service/protocol.hh"
 #include "service/store.hh"
+#include "sim/figures.hh"
 #include "sim/journal.hh"
+#include "sim/sweep.hh"
 
 namespace rvp
 {
@@ -630,8 +634,44 @@ TEST(ResultStoreTest, CompactLeavesAPathThatIsNoLongerAFileAlone)
         std::filesystem::symlink_status(path)));
     EXPECT_EQ(readFile(dir.file("moved.jsonl")),
               "{\"type\": \"store\", \"version\": 1}\n"
-              "{\"type\": \"put\", \"key\": \"k1\", \"record\": "
-              "\"{\\\"v\\\": 1}\"}\n");
+              "{\"type\": \"put\", \"key\": \"k1\", \"model\": \"" +
+                  std::string(modelFingerprint()) +
+                  "\", \"record\": \"{\\\"v\\\": 1}\"}\n");
+}
+
+TEST(ResultStoreTest, OtherModelPutsAreStaleAndCompactDropsThem)
+{
+    // A store written by another build: one put stamped with another
+    // fingerprint, one from before puts were stamped. Neither is
+    // loaded; both are counted stale, and compaction drops them.
+    TempDir dir;
+    std::string path = dir.file("store.jsonl");
+    {
+        std::ofstream os(path, std::ios::binary);
+        os << "{\"type\": \"store\", \"version\": 1}\n"
+           << "{\"type\": \"put\", \"key\": \"k1\", \"model\": "
+              "\"0000000000000000\", \"record\": \"{\\\"v\\\": 1}\"}\n"
+           << "{\"type\": \"put\", \"key\": \"k2\", \"record\": "
+              "\"{\\\"v\\\": 2}\"}\n";
+    }
+    {
+        ResultStore store(path);
+        ASSERT_TRUE(store.ok());
+        EXPECT_EQ(store.size(), 0u);
+        EXPECT_EQ(store.staleLines(), 2u);
+        EXPECT_EQ(store.skippedLines(), 0u);
+        EXPECT_FALSE(store.get("k1").has_value());
+        EXPECT_FALSE(store.get("k2").has_value());
+        ASSERT_TRUE(store.put("k3", "{\"v\": 3}"));
+        ASSERT_TRUE(store.compact());
+    }
+    std::string compacted = readFile(path);
+    EXPECT_EQ(compacted.find("\"k1\""), std::string::npos) << compacted;
+    EXPECT_EQ(compacted.find("\"k2\""), std::string::npos) << compacted;
+    ResultStore reloaded(path);
+    EXPECT_EQ(reloaded.size(), 1u);
+    EXPECT_EQ(reloaded.staleLines(), 0u);
+    EXPECT_EQ(*reloaded.get("k3"), "{\"v\": 3}");
 }
 
 // ---------------------------------------------------------------------
@@ -1089,6 +1129,137 @@ TEST(ServiceEndToEnd, KillRestartReplayIsByteIdentical)
     EXPECT_EQ(st->servedCached, 1u);
     EXPECT_LT(st->executed, grid.size())
         << "restart must not re-execute the completed run";
+}
+
+TEST(ServiceEndToEnd, RestartOnAnotherModelsStoreReExecutes)
+{
+    TempDir dir;
+    std::string sock = dir.file("svc.sock");
+    std::string store = dir.file("store.jsonl");
+    RunSpec spec = svcSpec("go", "lvp");
+    std::string firstRecord;
+    {
+        DaemonGuard daemon(startDaemon(sock, store));
+        ASSERT_GT(daemon.pid, 0);
+        ServiceClient client;
+        ASSERT_TRUE(connectRetry(client, sock)) << client.lastError();
+        ASSERT_TRUE(client.send(encodeSubmitRequest("a", {spec})));
+        std::optional<ServerMsg> msg = client.recv();
+        ASSERT_TRUE(msg.has_value()) << client.lastError();
+        ASSERT_EQ(msg->kind, ServerMsg::Kind::Result);
+        EXPECT_FALSE(msg->cached);
+        firstRecord = msg->record;
+        ASSERT_TRUE(client.send(encodeShutdownRequest()));
+        EXPECT_EQ(daemon.wait(), 0);
+    }
+
+    // Forge the store as another build's: same key, same record bytes,
+    // another fingerprint.
+    std::string text = readFile(store);
+    const std::string stamp =
+        "\"model\": \"" + std::string(modelFingerprint()) + "\"";
+    std::size_t at = text.find(stamp);
+    ASSERT_NE(at, std::string::npos) << text;
+    text.replace(at, stamp.size(), "\"model\": \"0000000000000000\"");
+    {
+        std::ofstream os(store, std::ios::binary | std::ios::trunc);
+        os << text;
+    }
+
+    DaemonGuard daemon(startDaemon(sock, store));
+    ASSERT_GT(daemon.pid, 0);
+    ServiceClient client;
+    ASSERT_TRUE(connectRetry(client, sock)) << client.lastError();
+    EXPECT_EQ(client.storeEntries(), 0u);
+    ASSERT_TRUE(client.send(encodeSubmitRequest("b", {spec})));
+    std::optional<ServerMsg> msg = client.recv();
+    ASSERT_TRUE(msg.has_value()) << client.lastError();
+    ASSERT_EQ(msg->kind, ServerMsg::Kind::Result);
+    EXPECT_FALSE(msg->cached) << "another model's result must not answer";
+    std::optional<JournalRecord> again = parseJournalRunLine(msg->record);
+    std::optional<JournalRecord> before = parseJournalRunLine(firstRecord);
+    ASSERT_TRUE(again.has_value());
+    ASSERT_TRUE(before.has_value());
+    EXPECT_EQ(again->result.stats.values(), before->result.stats.values());
+    std::optional<ServiceStatus> st = queryStatus(sock);
+    ASSERT_TRUE(st.has_value());
+    EXPECT_EQ(st->staleEntries, 1u);
+    EXPECT_EQ(st->storeEntries, 1u);
+    EXPECT_EQ(st->executed, 1u);
+    EXPECT_EQ(st->servedCached, 0u);
+}
+
+TEST(ServiceEndToEnd, SweepAllAndTheDaemonLabelAKeysRecordAlike)
+{
+    // One key's record has the same labels whichever front end ran
+    // it. sweep_all keeps its journal only when it does not finish, so
+    // it is killed once its go/lvp run (in the first group at --jobs
+    // 1) is stored, while its mgrid runs are still going.
+    ExperimentConfig base;
+    base.core.maxInsts = 400'000;
+    base.profileInsts = 12'000;
+    std::vector<FigureRun> grid = expandFigures({"fig05"}, {"go"}, base);
+    auto lvp = std::find_if(grid.begin(), grid.end(),
+                            [](const FigureRun &e) {
+                                return e.variant == "lvp";
+                            });
+    ASSERT_NE(lvp, grid.end());
+    const std::string key = configKey(lvp->config);
+    RunSpec spec = svcSpec("go", "lvp", 400'000);
+    ASSERT_EQ(runSpecKey(spec), key);
+
+    TempDir dir;
+    std::string out = dir.file("results.json");
+    std::string journal = out + ".journal";
+    pid_t pid = spawnTool(
+        RVP_SWEEP_ALL_BIN,
+        {"--figures", "fig05", "--workloads", "go,mgrid", "--insts",
+         "400000", "--profile-insts", "12000", "--jobs", "1", "--quiet",
+         "--bench-out", "", "--out", out});
+    ASSERT_GT(pid, 0);
+    bool exited = false;
+    for (int spin = 0; spin < 150'000; ++spin) {   // <= ~5 min
+        if (readFile(journal).find("\"key\": \"" + key + "\", \"model") !=
+            std::string::npos)
+            break;
+        int status = 0;
+        if (waitpid(pid, &status, WNOHANG) == pid) {
+            exited = true;
+            break;
+        }
+        usleep(2'000);
+    }
+    if (!exited) {
+        kill(pid, SIGKILL);
+        waitExit(pid);
+    }
+    ASSERT_FALSE(exited) << "sweep_all finished before it could be killed";
+
+    std::optional<std::string> line = RunStore(journal).get(key);
+    ASSERT_TRUE(line.has_value()) << readFile(journal);
+    std::optional<JournalRecord> fromSweep = parseJournalRunLine(*line);
+    ASSERT_TRUE(fromSweep.has_value());
+
+    std::string sock = dir.file("svc.sock");
+    DaemonGuard daemon(startDaemon(sock, dir.file("store.jsonl")));
+    ASSERT_GT(daemon.pid, 0);
+    ServiceClient client;
+    ASSERT_TRUE(connectRetry(client, sock)) << client.lastError();
+    ASSERT_TRUE(client.send(encodeSubmitRequest("lvp", {spec})));
+    std::optional<ServerMsg> msg = client.recv();
+    ASSERT_TRUE(msg.has_value()) << client.lastError();
+    ASSERT_EQ(msg->kind, ServerMsg::Kind::Result);
+    std::optional<JournalRecord> fromDaemon =
+        parseJournalRunLine(msg->record);
+    ASSERT_TRUE(fromDaemon.has_value());
+    EXPECT_EQ(fromDaemon->key, fromSweep->key);
+    EXPECT_EQ(fromDaemon->figure, fromSweep->figure);
+    EXPECT_EQ(fromDaemon->variant, fromSweep->variant);
+    EXPECT_EQ(fromDaemon->workload, fromSweep->workload);
+    EXPECT_EQ(fromDaemon->figure, "");
+    EXPECT_EQ(fromDaemon->variant, describeConfig(lvp->config));
+    EXPECT_EQ(fromDaemon->result.stats.values(),
+              fromSweep->result.stats.values());
 }
 
 TEST(ServiceEndToEnd, SigtermDrainsDeliversResultsAndExitsZero)

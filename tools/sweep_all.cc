@@ -13,9 +13,9 @@
  *
  * Every grid entry is keyed by its config (configKey, sim/journal.hh),
  * and each distinct key runs once: entries that share a config share
- * its result. Every finished run is put in the run store
- * <out>.journal, so a killed sweep picks up where it left off with
- * `--resume`.
+ * its result. Every run whose first attempt succeeded is put in the
+ * run store <out>.journal, so a killed sweep picks up where it left
+ * off with `--resume` (runStored, sim/journal.hh, does all three).
  *
  * Run `sweep_all --help` for the full option set.
  */
@@ -27,13 +27,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
-#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/deadline.hh"
+#include "sim/build_stamp.hh"
 #include "sim/figures.hh"
 #include "sim/journal.hh"
 #include "sim/runner.hh"
@@ -65,7 +65,7 @@ struct Options
     /** Committed-stream cache budget; 0 = always live emulation. */
     std::uint64_t streamCacheBytes =
         WorkloadCache::defaultStreamCacheBytes;
-    /** Fill every entry whose key holds a success in <out>.journal. */
+    /** Fill every entry whose key <out>.journal holds. */
     bool resume = false;
     /** Per-attempt wall-clock watchdog, seconds; 0 = off. */
     double runDeadline = 0.0;
@@ -115,13 +115,15 @@ usage()
         "                      committed-stream replay cache budget\n"
         "                      (default 256 MiB; 0 disables replay)\n"
         "  --resume            reuse every run whose config key holds\n"
-        "                      a success in <out>.journal (a killed\n"
-        "                      sweep picks up where it left off)\n"
+        "                      a success of this build in\n"
+        "                      <out>.journal (a killed sweep picks up\n"
+        "                      where it left off)\n"
         "  --run-deadline S    per-run wall-clock watchdog in seconds\n"
         "                      (fractions OK; 0 = off); an overrunning\n"
         "                      run fails and is retried degraded\n"
         "  --keep-going        exit 0 even when runs failed (failures\n"
-        "                      are still reported and journaled)\n"
+        "                      are still reported; --resume re-runs\n"
+        "                      them)\n"
         "  --no-journal        do not write the crash-safety journal\n"
         "  --stable-output     zero host-timing fields and omit cache\n"
         "                      stats so resumed and uninterrupted\n"
@@ -138,26 +140,6 @@ die(const std::string &message)
 {
     std::cerr << "sweep_all: " << message << " (try --help)\n";
     std::exit(1);
-}
-
-/** `git describe` label for bench rows; "unknown" outside a repo. */
-std::string
-gitDescribe()
-{
-    std::FILE *pipe =
-        popen("git describe --always --dirty --tags 2>/dev/null", "r");
-    if (!pipe)
-        return "unknown";
-    char buf[128];
-    std::string out;
-    while (std::fgets(buf, sizeof(buf), pipe))
-        out += buf;
-    int rc = pclose(pipe);
-    while (!out.empty() && (out.back() == '\n' || out.back() == '\r'))
-        out.pop_back();
-    if (rc != 0 || out.empty())
-        return "unknown";
-    return out;
 }
 
 /** Peak resident set size of this process in MiB (getrusage
@@ -282,48 +264,18 @@ try {
         journal = std::make_unique<RunStore>(journal_path);
         if (!journal->ok())
             die("cannot open run journal " + journal_path);
-        if (journal->skippedLines() > 0)
+        if (journal->skippedLines() > 0 || journal->staleLines() > 0)
             std::cerr << "sweep_all: journal: skipped "
                       << journal->skippedLines()
-                      << " torn, corrupt or old-format line(s)\n";
+                      << " torn, corrupt or old-format line(s) and "
+                      << journal->staleLines()
+                      << " stale line(s) of another model\n";
     }
-
-    // Each distinct config runs once: firstOf maps a key to the first
-    // entry that has it, and every later entry copies that result.
-    // --resume fills a key from a successful stored record instead;
-    // a failed one runs again, and its new record supersedes the old.
-    std::vector<std::string> keys;
-    std::map<std::string, std::size_t> firstOf;
-    std::vector<std::size_t> pending;
-    std::vector<ExperimentResult> results(entries.size());
-    std::vector<double> run_seconds(entries.size(), 0.0);
-    for (std::size_t i = 0; i < entries.size(); ++i) {
-        keys.push_back(configKey(entries[i].config));
-        if (!firstOf.emplace(keys[i], i).second)
-            continue;
-        std::optional<std::string> line;
-        if (opts.resume)
-            line = journal->get(keys[i]);
-        std::optional<JournalRecord> rec =
-            line ? parseJournalRunLine(*line) : std::nullopt;
-        if (rec && !rec->result.failed) {
-            results[i] = rec->result;
-            run_seconds[i] = rec->runSeconds;
-        } else {
-            pending.push_back(i);
-        }
-    }
-
-    std::cerr << "sweep_all: " << entries.size() << " runs ("
-              << firstOf.size() << " distinct, " << pending.size()
-              << " to execute, " << firstOf.size() - pending.size()
-              << " resumed), jobs="
-              << (opts.jobs ? opts.jobs : defaultJobs()) << "\n";
 
     std::vector<ExperimentConfig> configs;
-    configs.reserve(pending.size());
-    for (std::size_t i : pending)
-        configs.push_back(entries[i].config);
+    configs.reserve(entries.size());
+    for (const FigureRun &entry : entries)
+        configs.push_back(entry.config);
 
     SweepOptions sweep_opts;
     sweep_opts.jobs = opts.jobs;
@@ -331,35 +283,20 @@ try {
     sweep_opts.streamCacheBytes = opts.streamCacheBytes;
     sweep_opts.runDeadline = opts.runDeadline;
     sweep_opts.maxBatchGroupRuns = opts.maxBatchGroup;
-    if (journal) {
-        sweep_opts.onRunComplete = [&](std::size_t pi,
-                                       const ExperimentResult &result,
-                                       double seconds) {
-            std::size_t i = pending[pi];
-            JournalRecord rec;
-            rec.key = keys[i];
-            rec.figure = entries[i].figure;
-            rec.variant = entries[i].variant;
-            rec.workload = entries[i].config.workload;
-            rec.runSeconds = seconds;
-            rec.result = result;
-            journal->put(rec.key, encodeJournalRecord(rec));
-        };
-    }
     SweepReport report;
-    std::vector<ExperimentResult> executed =
-        runSweep(configs, sweep_opts, &report);
-    for (std::size_t pi = 0; pi < pending.size(); ++pi) {
-        results[pending[pi]] = std::move(executed[pi]);
-        run_seconds[pending[pi]] = report.runSeconds[pi];
-    }
-    for (std::size_t i = 0; i < entries.size(); ++i) {
-        std::size_t first = firstOf.at(keys[i]);
-        if (first != i) {
-            results[i] = results[first];
-            run_seconds[i] = run_seconds[first];
-        }
-    }
+    std::vector<StoredRun> runs = runStored(
+        configs, journal.get(), sweep_opts, &report, {},
+        [&](std::size_t distinct, std::size_t toRun) {
+            std::cerr << "sweep_all: " << entries.size() << " runs ("
+                      << distinct << " distinct, " << toRun
+                      << " to execute, " << distinct - toRun
+                      << " resumed), jobs="
+                      << (opts.jobs ? opts.jobs : defaultJobs()) << "\n";
+        });
+    std::vector<ExperimentResult> results;
+    results.reserve(runs.size());
+    for (StoredRun &run : runs)
+        results.push_back(std::move(run.record.result));
 
     // Throughput comes in two honest flavours: aggregate_kips divides
     // by summed per-core simulation seconds (comparable across cache
@@ -371,9 +308,13 @@ try {
     // once, as it was simulated.
     double total_committed = 0.0;
     double total_core_seconds = 0.0;
-    for (const auto &[key, i] : firstOf) {
+    std::vector<std::string> distinct_keys;
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+        if (runs[i].first != i)
+            continue;
         total_committed += static_cast<double>(results[i].committed);
         total_core_seconds += results[i].hostSeconds;
+        distinct_keys.push_back(runs[i].key);
     }
     double agg_kips =
         total_core_seconds > 0.0
@@ -398,6 +339,7 @@ try {
        << "  \"wall_seconds\": "
        << jsonNum(opts.stableOutput ? 0.0 : report.wallSeconds) << ",\n";
     if (!opts.stableOutput) {
+        os << "  \"model\": \"" << modelFingerprint() << "\",\n";
         os << "  \"cache\": {\"compile_hits\": "
            << report.cache.compileHits
            << ", \"compile_misses\": " << report.cache.compileMisses
@@ -451,7 +393,7 @@ try {
            << ", \"retries\": " << r.retries
            << ", \"degraded\": " << (r.degraded ? "true" : "false")
            << ", \"run_seconds\": "
-           << jsonNum(opts.stableOutput ? 0.0 : run_seconds[i])
+           << jsonNum(opts.stableOutput ? 0.0 : runs[i].record.runSeconds)
            << ", \"kips\": "
            << jsonNum(opts.stableOutput ? 0.0 : r.kips);
         if (r.failed || r.retries > 0)
@@ -485,7 +427,6 @@ try {
     // are computed over core-simulation time only, so the number is
     // comparable across cache-hit-rate differences.
     if (!opts.benchOut.empty()) {
-        // Read before gitDescribe() adds a child process of its own.
         double peak_rss_mb = peakRssMb();
         // Min/max over completed runs only, with an explicit "nothing
         // completed" flag: a legitimate zero-KIPS run (e.g. a zero-
@@ -512,16 +453,22 @@ try {
                       schemes.end());
         // The grid's identity: its sorted distinct run keys, so two
         // rows compare exactly when they simulated the same configs.
+        std::sort(distinct_keys.begin(), distinct_keys.end());
         std::string grid_keys;
-        for (const auto &[key, i] : firstOf)
+        for (const std::string &key : distinct_keys)
             grid_keys += key;
+        // Provenance is the build's (sim/build_stamp.hh), not the
+        // directory the row is written from.
         std::ostringstream bos;
         bos << "{\"tool\": \"sweep_all\""
-            << ", \"git\": \"" << jsonEscape(gitDescribe()) << "\""
+            << ", \"git\": \"" << jsonEscape(stamp::gitDescribe) << "\""
+            << ", \"build_type\": \"" << jsonEscape(stamp::buildType)
+            << "\", \"sanitizer\": \"" << jsonEscape(stamp::sanitizer)
+            << "\", \"model\": \"" << modelFingerprint() << "\""
             << ", \"config_hash\": \"" << hashHex(fnv1a(grid_keys))
             << "\""
             << ", \"runs\": " << entries.size()
-            << ", \"distinct_runs\": " << firstOf.size()
+            << ", \"distinct_runs\": " << distinct_keys.size()
             << ", \"schemes\": [";
         for (std::size_t si = 0; si < schemes.size(); ++si) {
             bos << (si ? ", " : "") << "\"" << jsonEscape(schemes[si])

@@ -130,6 +130,7 @@ runStatus(const Options &opts)
         die("no status reply: " + client.lastError());
     const ServiceStatus &s = msg->status;
     std::cout << "store_entries    " << s.storeEntries << "\n"
+              << "stale_entries    " << s.staleEntries << "\n"
               << "queued           " << s.queued << "\n"
               << "inflight         " << s.inflight << "\n"
               << "clients          " << s.clients << "\n"
